@@ -1,27 +1,37 @@
-"""Myhill–Nerode style minimization for deterministic tree automata.
+"""State reduction for bottom-up tree automata.
 
-Moore-style partition refinement: start from {accepting, rejecting}, then
-split classes whose members behave differently — i.e. two states ``p, q``
-stay together only if for every peer state ``r`` and both child positions,
-the class-level symbolic transition functions from ``(p, r)``/``(r, p)`` and
-``(q, r)``/``(r, q)`` coincide.  BDD guards are hash-consed, so "coincide"
-is an exact, canonical comparison of (class → guard) maps.
+:func:`minimize` computes the Myhill–Nerode congruence of a deterministic
+automaton by Moore-style partition refinement.  It starts from
+{accepting, rejecting} and keeps two states ``p, q`` together only if, for
+every peer *state* ``r``, the cells ``δ(p, r)`` and ``δ(q, r)`` (the row)
+and ``δ(r, p)`` and ``δ(r, q)`` (the column) send every label to the same
+class.  A cell's class-level map (class → BDD guard) is canonical because
+guards are hash-consed; each round interns the maps to ints, so a state's
+signature is its class plus its row and column of cell ids.  The peer must
+be a state, not a class: two same-class peers are not yet known to be
+equivalent, and a signature that forgets which peer a cell belongs to
+cannot split states whose rows are permutations of each other.
 
-Dead states (that cannot reach an accepting run context) are *not* removed
-here — completeness is preserved so complements stay cheap; unreachable
-states are pruned.
+The input may be complete, or trim (every state useful, see
+:func:`prune_dead`).  A missing cell sends its whole label space to an
+implicit sink that is a class of its own.  No useful state is equivalent to
+that sink, so on a trim automaton the result is the minimal complete
+automaton without its sink.  Unreachable states are pruned first.
+
+:func:`reduce_nfta` runs the same refinement on nondeterministic automata,
+with each state's leaf guard as an extra key.  The classes are forward
+bisimulations, so the language is unchanged, but the result need not be
+minimal (NFTA minimization is PSPACE-hard).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..runtime import ResourceGuard, as_guard
 from .tta import TreeAutomaton
 
 __all__ = ["minimize", "prune_dead", "prune_unreachable", "reduce_nfta"]
-
-Trans_t = List[Tuple[int, int]]
 
 
 def prune_unreachable(a: TreeAutomaton) -> TreeAutomaton:
@@ -64,10 +74,23 @@ def prune_dead(a: TreeAutomaton) -> TreeAutomaton:
     accepting root state, or a child position of a transition whose
     target is useful.  Dropping the rest preserves the language exactly
     (every accepting run consists of useful states only) but loses
-    completeness, so this is for emptiness-oriented pipelines — lazy
-    product exploration above all, where a dead component dooms every
-    product tuple containing it.
+    completeness.  Dead components doom every product tuple containing
+    them, so conjunctions — eager and lazy — trim their operands first.
+
+    Automata are immutable once built and heavily shared (compiler
+    structural-key memo, conjunction cache), so the result rides on the
+    instance and is marked as its own fixpoint: repeated and chained
+    calls are free.
     """
+    pruned = getattr(a, "_useful", None)
+    if pruned is None:
+        pruned = _useful_part(a)
+        a._useful = pruned
+        pruned._useful = pruned
+    return pruned
+
+
+def _useful_part(a: TreeAutomaton) -> TreeAutomaton:
     reach = set(q for _, q in a.leaf)
     changed = True
     while changed:
@@ -115,163 +138,84 @@ def prune_dead(a: TreeAutomaton) -> TreeAutomaton:
     )
 
 
-def reduce_nfta(
+def _refine(
     a: TreeAutomaton,
-    max_rounds: int = 50,
-    deadline=None,
-    guard: Optional[ResourceGuard] = None,
-) -> TreeAutomaton:
-    """Bisimulation-based state reduction for nondeterministic automata.
-
-    Merges states with identical acceptance and identical class-level
-    transition behaviour (as left and right child).  Sound for NFTAs —
-    merged states are forward-bisimilar, so the language is unchanged —
-    but not necessarily minimal (NFTA minimization is PSPACE-hard)."""
-    guard = as_guard(guard, deadline)
-    a = prune_unreachable(a)
+    keys: Sequence,
+    guard: Optional[ResourceGuard],
+    phase: str,
+) -> List[int]:
+    """Coarsest partition that refines ``keys`` (one hashable per state)
+    and is stable under every row and column of ``a.delta``."""
     mgr = a.manager
     n = a.n_states
-    if n <= 1:
-        return a
-    cls = [1 if q in a.accepting else 0 for q in range(n)]
-    by_left: Dict[int, List[int]] = {p: [] for p in range(n)}
-    by_right: Dict[int, List[int]] = {p: [] for p in range(n)}
-    for (ql, qr) in a.delta:
-        by_left[ql].append(qr)
-        by_right[qr].append(ql)
-    leaf_by_state: Dict[int, List[int]] = {}
-    for g, q in a.leaf:
-        leaf_by_state.setdefault(q, []).append(g)
-
-    for _ in range(max_rounds):
-        if guard is not None:
-            guard.check_now("reduce")
-        canon: Dict[Tuple[int, int], Tuple] = {}
-        for key, entries in a.delta.items():
-            merged: Dict[int, int] = {}
-            for g, q in entries:
-                c = cls[q]
-                prev = merged.get(c)
-                merged[c] = g if prev is None else mgr.apply_or(prev, g)
-            canon[key] = tuple(sorted(merged.items()))
-        sigs: Dict[int, Tuple] = {}
-        for p in range(n):
-            sig = set()
-            for r in by_left[p]:
-                sig.add((cls[r], "L", canon[(p, r)]))
-            for r in by_right[p]:
-                sig.add((cls[r], "R", canon[(r, p)]))
-            leaf_guard = mgr.disj(leaf_by_state.get(p, []))
-            sigs[p] = (cls[p], leaf_guard, tuple(sorted(sig)))
-        table: Dict[Tuple, int] = {}
-        new_cls = []
-        for p in range(n):
-            sp = sigs[p]
-            if sp not in table:
-                table[sp] = len(table)
-            new_cls.append(table[sp])
-        if new_cls == cls:
-            break
-        cls = new_cls
-    k = max(cls) + 1
-    if k == n:
-        return a
-    leaf_merged: Dict[int, int] = {}
-    for g, q in a.leaf:
-        c = cls[q]
-        leaf_merged[c] = mgr.apply_or(leaf_merged.get(c, mgr.false), g)
-    delta: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-    for (ql, qr), entries in a.delta.items():
-        key = (cls[ql], cls[qr])
-        acc: Dict[int, int] = {}
-        for g, q in delta.get(key, ()):
-            acc[q] = mgr.apply_or(acc.get(q, mgr.false), g)
-        for g, q in entries:
-            c = cls[q]
-            acc[c] = mgr.apply_or(acc.get(c, mgr.false), g)
-        delta[key] = [(g, c) for c, g in acc.items() if g != mgr.false]
-    return TreeAutomaton(
-        registry=a.registry,
-        tracks=a.tracks,
-        n_states=k,
-        leaf=[(g, c) for c, g in leaf_merged.items() if g != mgr.false],
-        delta=delta,
-        accepting=frozenset(cls[q] for q in a.accepting),
-        deterministic=False,
-        complete=a.complete,
-    )
-
-
-def minimize(
-    a: TreeAutomaton, deadline=None, guard: Optional[ResourceGuard] = None
-) -> TreeAutomaton:
-    """Minimize a deterministic (preferably complete) tree automaton."""
-    if not a.deterministic:
-        raise ValueError("minimize requires a deterministic automaton")
-    guard = as_guard(guard, deadline)
-    a = prune_unreachable(a)
-    mgr = a.manager
-    n = a.n_states
-    if n <= 1:
-        return a
-    # class id per state.
-    cls = [1 if q in a.accepting else 0 for q in range(n)]
-
-    # Adjacency index: for each state p, its delta entries by peer.
-    by_left: Dict[int, List[Tuple[int, Trans_t]]] = {p: [] for p in range(n)}
-    by_right: Dict[int, List[Tuple[int, Trans_t]]] = {p: [] for p in range(n)}
-    for (ql, qr), entries in a.delta.items():
-        by_left[ql].append((qr, entries))
-        by_right[qr].append((ql, entries))
-
+    rows: List[List[int]] = [[] for _ in range(n)]
+    cols: List[List[int]] = [[] for _ in range(n)]
+    for ql, qr in a.delta:
+        rows[ql].append(qr)
+        cols[qr].append(ql)
+    # Which peers a state has cells with never changes, so the peer lists
+    # go into the initial key once; each round compares only cell ids.
+    rows = [sorted(r) for r in rows]
+    cols = [sorted(c) for c in cols]
+    initial: Dict[Tuple, int] = {}
+    cls = [
+        initial.setdefault(
+            (keys[p], tuple(rows[p]), tuple(cols[p])), len(initial)
+        )
+        for p in range(n)
+    ]
+    k = len(initial)
     while True:
         if guard is not None:
-            guard.check_now("minimize")
-        # Canonical class-level transition map per delta entry, computed
-        # once per refinement round.
-        canon: Dict[Tuple[int, int], Tuple] = {}
+            guard.check_now(phase)
+        cell_ids: Dict[Tuple, int] = {}
+        cell: Dict[Tuple[int, int], int] = {}
         for key, entries in a.delta.items():
             merged: Dict[int, int] = {}
             for g, q in entries:
                 c = cls[q]
                 prev = merged.get(c)
                 merged[c] = g if prev is None else mgr.apply_or(prev, g)
-            canon[key] = tuple(sorted(merged.items()))
-
-        signatures: Dict[int, Tuple] = {}
-        for p in range(n):
-            sig = set()
-            for r, _e in by_left[p]:
-                sig.add((cls[r], "L", canon[(p, r)]))
-            for r, _e in by_right[p]:
-                sig.add((cls[r], "R", canon[(r, p)]))
-            signatures[p] = (cls[p], tuple(sorted(sig)))
-        # Re-class by signature.
+            cell[key] = cell_ids.setdefault(
+                tuple(sorted(merged.items())), len(cell_ids)
+            )
         table: Dict[Tuple, int] = {}
-        new_cls = []
-        for p in range(n):
-            s = signatures[p]
-            if s not in table:
-                table[s] = len(table)
-            new_cls.append(table[s])
-        if new_cls == cls:
-            break
-        cls = new_cls
-    k = max(cls) + 1
-    if k == n:
-        return a
-    # Build the quotient.
-    leaf_merged: Dict[Tuple[int, int], int] = {}
+        new_cls = [
+            table.setdefault(
+                (
+                    cls[p],
+                    tuple([cell[(p, r)] for r in rows[p]]),
+                    tuple([cell[(r, p)] for r in cols[p]]),
+                ),
+                len(table),
+            )
+            for p in range(n)
+        ]
+        # Signatures include the old class, so an unchanged class count
+        # means nothing split: the partition is stable.
+        if len(table) == k:
+            return cls
+        cls, k = new_cls, len(table)
+
+
+def _quotient(
+    a: TreeAutomaton, cls: List[int], deterministic: bool
+) -> TreeAutomaton:
+    """Merge each class of a stable partition into one state.
+
+    Stability makes every cell between two classes carry the same
+    class-level map, so one representative cell per class pair is the
+    whole quotient transition."""
+    mgr = a.manager
+    leaf: Dict[int, int] = {}
     for g, q in a.leaf:
-        key = (0, cls[q])
-        leaf_merged[key] = mgr.apply_or(leaf_merged.get(key, mgr.false), g)
+        c = cls[q]
+        leaf[c] = mgr.apply_or(leaf.get(c, mgr.false), g)
     delta: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-    seen_pairs = set()
     for (ql, qr), entries in a.delta.items():
         key = (cls[ql], cls[qr])
-        if key in seen_pairs:
+        if key in delta:
             continue
-        seen_pairs.add(key)
         merged: Dict[int, int] = {}
         for g, q in entries:
             c = cls[q]
@@ -280,10 +224,57 @@ def minimize(
     return TreeAutomaton(
         registry=a.registry,
         tracks=a.tracks,
-        n_states=k,
-        leaf=[(g, c) for (_, c), g in leaf_merged.items() if g != mgr.false],
+        n_states=max(cls) + 1,
+        leaf=[(g, c) for c, g in leaf.items() if g != mgr.false],
         delta=delta,
         accepting=frozenset(cls[q] for q in a.accepting),
-        deterministic=True,
+        deterministic=deterministic,
         complete=a.complete,
     )
+
+
+def reduce_nfta(
+    a: TreeAutomaton,
+    deadline=None,
+    guard: Optional[ResourceGuard] = None,
+) -> TreeAutomaton:
+    """Bisimulation-based state reduction for nondeterministic automata.
+
+    Merges states with identical acceptance, identical leaf guard and
+    identical class-level transition rows and columns.  Sound for NFTAs —
+    merged states are forward-bisimilar, so the language is unchanged —
+    but not necessarily minimal (NFTA minimization is PSPACE-hard)."""
+    guard = as_guard(guard, deadline)
+    a = prune_unreachable(a)
+    n = a.n_states
+    if n <= 1:
+        return a
+    mgr = a.manager
+    leaf_by_state: Dict[int, List[int]] = {}
+    for g, q in a.leaf:
+        leaf_by_state.setdefault(q, []).append(g)
+    keys = [
+        (q in a.accepting, mgr.disj(leaf_by_state.get(q, [])))
+        for q in range(n)
+    ]
+    cls = _refine(a, keys, guard, "reduce")
+    if max(cls) + 1 == n:
+        return a
+    return _quotient(a, cls, deterministic=False)
+
+
+def minimize(
+    a: TreeAutomaton, deadline=None, guard: Optional[ResourceGuard] = None
+) -> TreeAutomaton:
+    """Minimize a deterministic tree automaton that is complete or trim."""
+    if not a.deterministic:
+        raise ValueError("minimize requires a deterministic automaton")
+    guard = as_guard(guard, deadline)
+    a = prune_unreachable(a)
+    n = a.n_states
+    if n <= 1:
+        return a
+    cls = _refine(a, [q in a.accepting for q in range(n)], guard, "minimize")
+    if max(cls) + 1 == n:
+        return a
+    return _quotient(a, cls, deterministic=True)

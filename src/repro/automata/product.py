@@ -34,29 +34,10 @@ from ..runtime import (
     as_guard,
 )
 from ..runtime import faults as _faults
+from .minimize import minimize, prune_dead, reduce_nfta
 from .tta import TreeAutomaton
 
 __all__ = ["ProductAutomaton", "Exploration"]
-
-
-def _pruned_dead(f: TreeAutomaton) -> TreeAutomaton:
-    """Memoized :func:`~repro.automata.minimize.prune_dead`.
-
-    Automata are immutable once built and heavily shared across queries
-    (compiler structural-key memo, conjunction cache), but every query
-    used to re-run the useful-state restriction on the same objects —
-    for the big case studies that was a dominant, unaccounted cost.  The
-    result rides on the instance, and is marked as its own fixpoint so
-    chained calls are free.
-    """
-    from .minimize import prune_dead
-
-    pruned = getattr(f, "_useful", None)
-    if pruned is None:
-        pruned = prune_dead(f)
-        f._useful = pruned
-        pruned._useful = pruned
-    return pruned
 
 
 def _merge_small_factors(
@@ -93,8 +74,6 @@ def _merge_small_factors(
     the per-factor simulation cache in :mod:`repro.automata.antichain`
     amortize across queries.  Deadline/memory aborts are never cached.
     """
-    from .minimize import minimize, reduce_nfta
-
     guard = as_guard(guard, deadline)
     attempt_cap = max(4 * limit, 64)
     registry = factors[0].registry
@@ -164,7 +143,7 @@ def _merge_small_factors(
                     max_states=attempt_cap,
                     guard=guard,
                 )
-                prod = _pruned_dead(prod)
+                prod = prune_dead(prod)
                 if prod.deterministic:
                     prod = minimize(prod, guard=guard)
                 else:
@@ -262,7 +241,7 @@ class ProductAutomaton:
                 # accepting run shrinks the explorable tuple space by
                 # orders of magnitude without changing any language.
                 # Memoized per instance — factors recur across queries.
-                flat.append(_pruned_dead(f))
+                flat.append(prune_dead(f))
         if not flat:
             raise ValueError("ProductAutomaton needs at least one factor")
         registry = flat[0].registry

@@ -228,33 +228,33 @@ class TreeAutomaton:
 
     def completed(self) -> "TreeAutomaton":
         """Add a non-accepting sink so every (state-pair, label) has at
-        least one successor."""
+        least one successor.  The sink is added only when some leaf label
+        or cell is not already covered."""
         if self.complete:
             return self
         mgr = self.manager
         sink = self.n_states
         leaf = list(self.leaf)
-        covered = mgr.disj([g for g, _ in self.leaf])
-        rest = mgr.apply_not(covered)
+        rest = mgr.apply_not(mgr.disj([g for g, _ in self.leaf]))
         needs_sink = rest != mgr.false
-        if rest != mgr.false:
+        if needs_sink:
             leaf.append((rest, sink))
         delta = {k: list(v) for k, v in self.delta.items()}
-        states = range(self.n_states + 1)
-        for ql in states:
-            for qr in states:
+        for ql in range(self.n_states):
+            for qr in range(self.n_states):
                 entries = delta.get((ql, qr), [])
-                covered = mgr.disj([g for g, _ in entries])
-                rest = mgr.apply_not(covered)
+                rest = mgr.apply_not(mgr.disj([g for g, _ in entries]))
                 if rest != mgr.false:
-                    entries = entries + [(rest, sink)]
-                    delta[(ql, qr)] = entries
+                    delta[(ql, qr)] = entries + [(rest, sink)]
                     needs_sink = True
-        n = self.n_states + (1 if needs_sink else 0)
+        if needs_sink:
+            for q in range(sink + 1):
+                delta[(q, sink)] = [(mgr.true, sink)]
+                delta[(sink, q)] = [(mgr.true, sink)]
         return TreeAutomaton(
             registry=self.registry,
             tracks=self.tracks,
-            n_states=n,
+            n_states=self.n_states + (1 if needs_sink else 0),
             leaf=leaf,
             delta=delta,
             accepting=self.accepting,

@@ -12,7 +12,8 @@ Two engineering choices keep the pipeline tractable in pure Python:
 * **child-term atoms** (``x.l ∈ X``, ``isNil(x.r)``, ``y == x.l``) have
   direct automata, so the Retreet encoder emits no inner quantifiers for
   ``Next``/``PathCond``;
-* automata are minimized after every complement (and large product), and
+* automata are minimized after every complement and large product;
+  conjunctions stay trim (useful states only, no sink) all the way, and
   determinization carries a state budget that converts blow-ups into a
   clean :class:`~repro.automata.determinize.StateBudgetExceeded` for the
   caller's fallback logic.
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..automata.determinize import determinize
-from ..automata.minimize import minimize, prune_unreachable
+from ..automata.minimize import minimize, prune_dead, prune_unreachable
 from ..automata.tta import TrackRegistry, TreeAutomaton
 from ..runtime import ResourceGuard, as_guard
 from . import syntax as S
@@ -269,19 +270,26 @@ class Compiler:
         autos.sort(key=lambda a: a.n_states)
         if union:
             return self._union(autos)
+        # A conjunction needs no sink: trimming every operand and every
+        # intermediate product to its useful states keeps dead states
+        # from being crossed with the next operand, and ``minimize`` is
+        # exact on trim automata.  The result is incomplete; complements
+        # and unions complete it themselves.
         guard = self._guard()
-        acc = autos[0]
+        acc = prune_dead(autos[0])
         for nxt in autos[1:]:
             self.stats.products += 1
-            acc = acc.product(nxt, lambda x, y: x and y, guard=guard)
-            acc = prune_unreachable(acc)
+            acc = acc.product(
+                prune_dead(nxt), lambda x, y: x and y, guard=guard
+            )
+            acc = prune_dead(acc)
             if (
                 acc.deterministic
                 and acc.n_states > 8
                 and self.minimize_always
             ):
                 self.stats.minimizations += 1
-                acc = minimize(acc.completed(), guard=guard)
+                acc = minimize(acc, guard=guard)
         return acc
 
     # Unions of small deterministic automata go through the product (the

@@ -1,7 +1,9 @@
 """Shared fixtures: case-study programs and small tree scopes."""
 
+import json
 import os
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +48,19 @@ def tiny_trees():
 @pytest.fixture(scope="session")
 def sizecount_par():
     return sizecount.parallel_program()
+
+
+@pytest.fixture(scope="session")
+def racy_par():
+    """The ``racy-parallel-write`` corpus program: two parallel calls that
+    both write ``n.a`` at every node.  Unlike T1.3, its symbolic check
+    reaches product exploration, so state budgets and the emptiness
+    probe fire on it."""
+    from repro.lang import parse_program
+
+    entry = Path(__file__).parent / "corpus" / "racy-parallel-write.json"
+    source = json.loads(entry.read_text())["source"]
+    return parse_program(source, name="racy-parallel-write")
 
 
 @pytest.fixture(scope="session")

@@ -207,18 +207,19 @@ class TestDegradationLadder:
         assert len(calls) == 1 and rung == "mso"
         assert sym.status == "budget"
 
-    def test_internal_error_recorded_and_falls_back(self, sizecount_par):
+    def test_internal_error_recorded_and_falls_back(self, racy_par):
         from repro.runtime import SolverInternalError
         from repro.runtime import faults
 
         faults.disarm_all()
-        faults.arm("emptiness.fixpoint", hit=1, action="raise")
+        spec = faults.arm("emptiness.fixpoint", hit=1, action="raise")
         try:
             r = check_data_race(
-                sizecount_par, engine="auto", max_internal=2, replay=False
+                racy_par, engine="auto", max_internal=2, replay=False
             )
         finally:
             faults.disarm_all()
-        assert r.verdict == "race-free"
+        assert spec.fired
+        assert r.verdict == "race"
         assert "mso_error" in r.details
         assert r.details["decided_by"] == "bounded@2"

@@ -22,6 +22,7 @@ EXPECTED_NAMES = {
     "minimax-fusion",
     "minimax-race",
     "racefree-sizecount",
+    "racy-budget-status",
     "racy-parallel-write",
     "rlimit-crash-reproducer",
     "t13-budget-status",

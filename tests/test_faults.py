@@ -241,3 +241,64 @@ class TestRefactoredHotPaths:
         except ReproError:
             return
         assert r.verdict == "race-free"
+
+    @pytest.mark.parametrize("action", ["raise", "corrupt"])
+    def test_minimize_of_trimmed_conjunction_survives_bdd_fault(
+        self, sizecount_seq, sizecount_fused, action, monkeypatch
+    ):
+        """``bdd.apply`` fires inside ``minimize`` of a trimmed
+        ``Compiler._combine`` product (the only compiler call site that
+        passes an incomplete automaton)."""
+        import repro.mso.compile as compile_mod
+
+        real = compile_mod.minimize
+        fired = []
+
+        def armed_minimize(a, *args, **kw):
+            if fired or a.complete:
+                return real(a, *args, **kw)
+            spec = faults.arm("bdd.apply", hit=1, action=action)
+            try:
+                return real(a, *args, **kw)
+            finally:
+                if spec.fired:
+                    fired.append(a.n_states)
+                else:
+                    faults.disarm_all()
+
+        monkeypatch.setattr(compile_mod, "minimize", armed_minimize)
+        try:
+            r = check_equivalence(
+                sizecount_seq,
+                sizecount_fused,
+                sizecount.fusion_correspondence(),
+                engine="auto",
+                mso_deadline_s=30,
+                max_internal=2,
+                replay=False,
+            )
+        except ReproError:
+            r = None
+        assert fired, "no trimmed conjunction minimize applied a BDD op"
+        if r is not None:
+            assert r.verdict == "equivalent"
+
+    @pytest.mark.parametrize("phase", ["minimize", "reduce"])
+    def test_expired_guard_cancels_refinement(self, phase):
+        import time
+
+        from repro.automata.minimize import minimize, prune_dead, reduce_nfta
+        from repro.mso import syntax as S
+        from repro.mso.compile import Compiler
+        from repro.runtime import DeadlineExceeded, ResourceGuard
+
+        conj = S.And((S.Sing("X"), S.Sing("Y"), S.Subset("X", "Y")))
+        a = prune_dead(Compiler().compile(conj, already_fresh=True))
+        assert a.n_states > 1 and not a.complete
+        if phase == "reduce":
+            a = a.projected(["Y"])
+        reduce = minimize if phase == "minimize" else reduce_nfta
+        guard = ResourceGuard(deadline=time.perf_counter() - 1.0)
+        with pytest.raises(DeadlineExceeded) as ei:
+            reduce(a, guard=guard)
+        assert ei.value.phase == phase

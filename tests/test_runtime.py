@@ -105,7 +105,11 @@ class TestResourceGuard:
 
 
 class TestDistinguishableOutcomes:
-    """T1.3 (parallel sizecount): deadline vs budget are distinct."""
+    """A tiny deadline and a tiny state budget report distinct statuses.
+
+    The deadline case runs T1.3 (parallel sizecount).  T1.3 no longer
+    explores a product at all, so the budget case runs a racy program
+    whose check does."""
 
     def test_tiny_deadline_reports_deadline(self, sizecount_par):
         from repro.core.symbolic import check_data_race_mso
@@ -116,12 +120,11 @@ class TestDistinguishableOutcomes:
         assert v.status == "deadline"
         assert not v.holds
 
-    def test_tiny_state_budget_reports_budget(self, sizecount_par):
+    def test_tiny_state_budget_reports_budget(self, racy_par):
         from repro.core.symbolic import check_data_race_mso
         from repro.solver.solver import MSOSolver
 
-        v = check_data_race_mso(
-            sizecount_par, solver=MSOSolver(product_budget=2)
-        )
+        v = check_data_race_mso(racy_par, solver=MSOSolver(product_budget=2))
         assert v.status == "budget"
         assert not v.holds
+        assert v.witness is None
