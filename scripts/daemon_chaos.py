@@ -15,7 +15,7 @@ daemon process:
    verify the shared cache (zero quarantined rows), and answer every
    resubmitted query with the golden verdict — journaled work from a
    cache hit, nothing lost, nothing duplicated (journal ``verdict``
-   events stay unique per cache key across both lifetimes).
+   events stay unique per task key across both lifetimes).
 4. **Graceful drain** — SIGTERM makes the daemon finish in-flight work
    and exit 0.
 
@@ -104,7 +104,7 @@ def fail(msg: str) -> None:
     sys.exit(1)
 
 
-def journal_verdict_ckeys(run_dir: Path) -> list:
+def journal_verdict_keys(run_dir: Path) -> list:
     out = []
     path = run_dir / "daemon-journal.jsonl"
     if not path.exists():
@@ -114,8 +114,8 @@ def journal_verdict_ckeys(run_dir: Path) -> list:
             rec = json.loads(line)
         except ValueError:
             continue  # torn tail from the SIGKILL — tolerated by design
-        if rec.get("event") == "verdict" and rec.get("ckey"):
-            out.append(rec["ckey"])
+        if rec.get("event") == "verdict" and rec.get("key"):
+            out.append(rec["key"])
     return out
 
 
@@ -192,7 +192,7 @@ def main() -> None:
     journal = chaos_dir / "daemon-journal.jsonl"
     deadline = time.monotonic() + 120.0
     while time.monotonic() < deadline:
-        if journal_verdict_ckeys(chaos_dir):
+        if journal_verdict_keys(chaos_dir):
             daemon.send_signal(signal.SIGKILL)
             daemon.wait()
             break
@@ -202,7 +202,7 @@ def main() -> None:
         fail("daemon never journaled a verdict under load")
     for th in threads:
         th.join(timeout=30)
-    pre_kill = journal_verdict_ckeys(chaos_dir)
+    pre_kill = journal_verdict_keys(chaos_dir)
     print(f"SIGKILL after {len(pre_kill)} journaled verdict(s); "
           f"{len(errors)} client connection(s) torn (expected)")
 
@@ -226,10 +226,10 @@ def main() -> None:
              f"golden:      {golden}\nresubmitted: {resubmitted}")
     if st["cache_hits"] - hits_before < len(pre_kill):
         fail("journaled verdicts were not served from the shared cache")
-    all_ckeys = journal_verdict_ckeys(chaos_dir)
-    if len(all_ckeys) != len(set(all_ckeys)):
-        dupes = sorted(k for k in set(all_ckeys) if all_ckeys.count(k) > 1)
-        fail(f"duplicated journal verdicts for cache keys: {dupes}")
+    all_keys = journal_verdict_keys(chaos_dir)
+    if len(all_keys) != len(set(all_keys)):
+        dupes = sorted(k for k in set(all_keys) if all_keys.count(k) > 1)
+        fail(f"duplicated journal verdicts for task keys: {dupes}")
     if daemon.wait(timeout=60) != 0:
         fail(f"restarted daemon exited {daemon.returncode}, want 0")
     print(f"restart: {len(set(pre_kill))} verdict(s) replayed and "

@@ -4,12 +4,14 @@ Runs a fast corpus of Table-1 queries through ``engine="auto"`` three
 ways and fails on any drift:
 
 1. **baseline** — no cache: the plan executor alone;
-2. **cold cache** — a fresh on-disk :class:`repro.engine.ResultCache`:
+2. **cold cache** — a fresh :class:`repro.engine.ResultCache` over a new
+   :class:`repro.service.sharedcache.SharedCache` file:
    every verdict, ``decided_by`` and normalized attempt schema must be
    byte-identical to the baseline (the cache may only *observe* a cold
    run, never steer it);
-3. **warm cache** — a *new* ``ResultCache`` over the same directory
-   (so hits must come through the checksummed disk store): every query
+3. **warm cache** — a *new* ``ResultCache`` over a new ``SharedCache``
+   on the same file (so hits must come through the checksummed sqlite
+   rows): every query
    must be decided with at least one cache hit, and every verdict must
    match the baseline.
 
@@ -29,6 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from repro.casestudies import cycletree, sizecount, treemutation  # noqa: E402
 from repro.core.api import check_data_race, check_equivalence  # noqa: E402
 from repro.engine import ResultCache, normalized_attempts  # noqa: E402
+from repro.service.sharedcache import SharedCache  # noqa: E402
 
 
 def corpus():
@@ -84,9 +87,9 @@ def main() -> int:
             failures.append(f"{name}: baseline verdict is unknown")
 
     with tempfile.TemporaryDirectory(prefix="plan-equiv-") as tmp:
-        cache_dir = Path(tmp) / "cache"
+        cache_path = Path(tmp) / "cache.sqlite"
 
-        cold = ResultCache(cache_dir)
+        cold = ResultCache(backend=SharedCache(cache_path))
         for name, run in queries.items():
             snap = snapshot(run(cold))
             if snap != baseline[name]:
@@ -101,7 +104,7 @@ def main() -> int:
                 "expected none on first sight of every query"
             )
 
-        warm = ResultCache(cache_dir)  # fresh instance: disk hits only
+        warm = ResultCache(backend=SharedCache(cache_path))  # disk hits only
         for name, run in queries.items():
             res = run(warm)
             cache_note = res.details.get("cache") or {}

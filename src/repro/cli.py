@@ -290,7 +290,7 @@ def _dispatch(argv=None) -> int:
     p_batch.add_argument("manifest", help="batch manifest (JSON)")
     p_batch.add_argument(
         "--run-dir", metavar="DIR", default=None,
-        help="run directory for journal/store/results "
+        help="run directory for journal, verdict store and results "
              "(default: <manifest-stem>-run next to the manifest)",
     )
     p_batch.add_argument(

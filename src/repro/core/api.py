@@ -48,13 +48,7 @@ from ..engine import (
     plan_for,
     program_fields,
 )
-from ..engine.plan import (
-    LADDER_ESCALATION,
-    merge_verdicts,
-    plan_for as _plan_for,
-    run_scope_rungs,
-    run_symbolic_rungs,
-)
+from ..engine.plan import LADDER_ESCALATION
 from ..lang import ast as A
 from ..lang.validate import validate
 from ..trees.heap import Tree
@@ -174,48 +168,7 @@ def verification_from_dict(
 
 
 # ----------------------------------------------------------------------
-# Backwards-compatible ladder aliases (the implementations live in
-# repro.engine.plan; these shims keep the historical core.api surface —
-# used by older tests and external callers — importable).
-
-
-_program_fields = program_fields
-_merge_race = merge_verdicts
-
-
-def _symbolic_ladder(
-    run_sym, engine, det_budget, mso_deadline_s, node_ceiling, attempts,
-    details,
-):
-    rungs = _plan_for(engine).symbolic_rungs()
-    return run_symbolic_rungs(
-        run_sym, rungs, det_budget, mso_deadline_s, node_ceiling, attempts,
-        details,
-    )
-
-
-def _bounded_ladder(run_bnd, max_internal, bounded_deadline_s, attempts):
-    rung = _plan_for("bounded").scope_rung()
-    return run_scope_rungs(
-        run_bnd, rung, max_internal, bounded_deadline_s, attempts
-    )
-
-
-# ----------------------------------------------------------------------
 # Cache plumbing
-
-
-def _decided_engine(decided_by, attempts) -> Optional[str]:
-    """The engine name behind a ``decided_by`` rung (``"bisim"`` for the
-    equivalence fast path, which records no attempt)."""
-    if decided_by is None:
-        return None
-    if decided_by == "bisim":
-        return "bisim"
-    for a in attempts:
-        if a.get("rung") == decided_by:
-            return a.get("engine")
-    return None
 
 
 def _cache_lookup(cache, query, plan, t0, allow_bisim=True):
@@ -236,17 +189,7 @@ def _cache_lookup(cache, query, plan, t0, allow_bisim=True):
 
 
 def _cache_store(cache, query, res: VerificationResult) -> None:
-    decided_by = res.details.get("decided_by")
-    attempts = res.details.get("attempts") or []
-    wire = verification_to_dict(res)
-    stored = cache.store(
-        query,
-        res.verdict,
-        res.holds,
-        decided_by,
-        _decided_engine(decided_by, attempts),
-        wire,
-    )
+    stored = cache.store(query, verification_to_dict(res))
     res.details["cache"] = {
         "hit": False,
         "key": query.key(),

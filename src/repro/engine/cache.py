@@ -1,16 +1,13 @@
 """Content-addressed result cache with soundness-aware reuse.
 
 Records are keyed by :meth:`query.key` — the hash of *what* is asked,
-never of the limits — and stored in memory plus (optionally) a durable
-backend: ``path=`` a directory uses
-:class:`repro.service.store.ResultStore` (one checksummed JSON file per
-record, the per-run-dir tier), while ``backend=`` accepts any object
-with the same ``get(key)``/``put(key, payload)`` surface — in
-particular :class:`repro.service.sharedcache.SharedCache`, the shared
-cross-run sqlite tier behind the solve daemon.  Either way cached
-verdicts get checksummed, atomically-written, quarantine-on-corruption
-treatment, and a run directory (or daemon cache) doubles as a warm
-cache across runs.
+never of the limits — and held in memory plus (optionally) a durable
+``backend=``: any object with a ``get(key)``/``put(key, payload)``
+surface, in practice :class:`repro.service.sharedcache.SharedCache`,
+the one checksummed, stamped, quarantining sqlite file behind a batch
+run directory and the solve daemon.  The record format lives here
+alone: :meth:`ResultCache.store` takes the wire result dict and derives
+the verdict and the deciding engine from it.
 
 Reuse is governed by the deciding engine's declared
 :class:`~repro.engine.engines.Capabilities`, not by the verdict alone:
@@ -36,8 +33,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from .engines import get_engine
 
@@ -49,35 +45,48 @@ _FOUND_VERDICTS = frozenset({"race", "not-equivalent"})
 
 @dataclass
 class CacheStats:
-    """Observable cache counters (mirrored into ``SolverStats`` and the
-    batch ``report.json``)."""
+    """Observable cache counters (mirrored into ``SolverStats``, the
+    batch ``report.json`` and the daemon ``status``)."""
 
     hits: int = 0
     misses: int = 0
     stored: int = 0
+    #: tasks a driver could not turn into a query (malformed source,
+    #: mapping or engine name) and so solved without the cache.
+    uncacheable: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {
             "hits": self.hits,
             "misses": self.misses,
             "stored": self.stored,
+            "uncacheable": self.uncacheable,
         }
 
 
-class ResultCache:
-    """In-memory + optional on-disk verdict cache keyed by query hash."""
+def _decided_engine(
+    decided_by: Optional[str], attempts: List[Dict[str, Any]]
+) -> Optional[str]:
+    """The engine name behind a ``decided_by`` rung (``"bisim"`` for the
+    equivalence fast path, which records no attempt)."""
+    if decided_by is None:
+        return None
+    if decided_by == "bisim":
+        return "bisim"
+    for a in attempts:
+        if a.get("rung") == decided_by:
+            return a.get("engine")
+    return None
 
-    def __init__(self, path: Optional[Path] = None, backend=None) -> None:
-        if path is not None and backend is not None:
-            raise ValueError("pass either path= or backend=, not both")
+
+class ResultCache:
+    """In-memory + optional durable verdict cache keyed by query hash."""
+
+    def __init__(self, backend=None) -> None:
         self._memory: Dict[str, Dict[str, Any]] = {}
         self._lock = threading.Lock()
         self.stats = CacheStats()
-        self._store = backend
-        if path is not None:
-            from ..service.store import ResultStore
-
-            self._store = ResultStore(Path(path))
+        self.backend = backend
 
     # -- reuse policy ----------------------------------------------------
 
@@ -115,8 +124,8 @@ class ResultCache:
         key = query.key()
         with self._lock:
             record = self._memory.get(key)
-        if record is None and self._store is not None:
-            record = self._store.get(key)
+        if record is None and self.backend is not None:
+            record = self.backend.get(key)
             if record is not None:
                 with self._lock:
                     self._memory[key] = record
@@ -130,17 +139,16 @@ class ResultCache:
             self.stats.misses += 1
         return None
 
-    def store(
-        self,
-        query,
-        verdict: str,
-        holds: bool,
-        decided_by: Optional[str],
-        decided_engine: Optional[str],
-        result: Dict[str, Any],
-    ) -> bool:
-        """Store one decided verdict; refuses ``unknown`` (a bigger
-        budget might decide it, so it must always be recomputed)."""
+    def store(self, query, result: Dict[str, Any]) -> bool:
+        """Store the wire ``result`` of one decided verdict; refuses
+        ``unknown`` (a bigger budget might decide it, so it must always
+        be recomputed).  Storing the record already held is a no-op."""
+        details = result.get("details") or {}
+        decided_by = details.get("decided_by")
+        decided_engine = _decided_engine(
+            decided_by, details.get("attempts") or []
+        )
+        verdict = result.get("verdict", "unknown")
         if verdict == "unknown" or decided_engine is None:
             return False
         key = query.key()
@@ -149,14 +157,16 @@ class ResultCache:
             "kind": query.kind,
             "scope": query.scope,
             "verdict": verdict,
-            "holds": bool(holds),
+            "holds": bool(result.get("holds")),
             "decided_by": decided_by,
             "decided_engine": decided_engine,
             "result": result,
         }
         with self._lock:
+            if self._memory.get(key) == record:
+                return True
             self._memory[key] = record
             self.stats.stored += 1
-        if self._store is not None:
-            self._store.put(key, record)
+        if self.backend is not None:
+            self.backend.put(key, record)
         return True

@@ -4,7 +4,7 @@ One formula — the SHA-256 of the canonical JSON of ``{"kind": ...,
 "payload": ...}`` — names a unit of work everywhere it can appear: a
 :class:`~repro.engine.query.RaceQuery` in process, a
 :class:`~repro.service.protocol.Task` crossing the worker pipe, a
-record in the batch store, a fuzz case being deduplicated.  It
+row in the durable verdict store, a fuzz case being deduplicated.  It
 generalizes what ``service.protocol.task_key`` introduced (and that
 function now delegates here), in the spirit of the compiler's
 ``structural_key`` formula cache: identity is *what* is asked, never

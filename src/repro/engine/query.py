@@ -7,7 +7,7 @@ willing to work.  The split matters for identity: :meth:`key` hashes
 the *question* (canonical program sources, entry, mapping, scope) and
 never the limits, mirroring how ``service.protocol.task_key`` excludes
 sandbox limits, so the same key addresses a query in-process, in the
-batch store, and in the fuzz loop's dedup set, and re-running with a
+verdict store, and in the fuzz loop's dedup set, and re-running with a
 bigger budget still reuses every verdict already decided.
 
 Programs are canonicalized through :func:`repro.lang.printer.

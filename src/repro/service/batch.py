@@ -17,22 +17,28 @@ A **manifest** is a JSON file describing the tasks of one batch::
     }
 
 ``file``/``file2`` paths resolve relative to the manifest; sources are
-inlined at load time so the *run directory* is self-contained.  Each
-run directory holds the resolved manifest copy (plus its hash), the
-checksummed result store, the journal, and two outputs:
+inlined at load time so the *run directory* is self-contained.  A run
+directory holds exactly ``manifest.json`` (the resolved tasks),
+``meta.json`` (the manifest hash), ``journal.jsonl``, ``cache.sqlite``
+(the one durable verdict store, :mod:`repro.service.sharedcache`) and
+two outputs:
 
 * ``results.json`` — the **deterministic verdict set**: one record per
   task (name, kind, key, verdict, holds, ok), byte-identical between an
   uninterrupted run and a ``kill -9``'d run resumed with ``--resume``;
-* ``report.json`` — timings, attempts, and worker diagnostics (not
-  required to be reproducible).
+* ``report.json`` — timings, attempts, cache and store counters, and
+  worker diagnostics (not required to be reproducible).
 
 ``--resume RUN_DIR`` replays the journal, re-verifies each journaled
-verdict against the checksummed store, and recomputes only what is
-missing: completed work survives any crash of the *driver* as well as
-of the workers.  Failed tasks (crashes that exhausted their retry
-budget) are journaled as events but never marked done, so a resume
-gives them a fresh chance.
+verdict's row, and recomputes only what is missing: completed work
+survives any crash of the *driver* as well as of the workers.  Failed
+tasks (crashes that exhausted their retry budget) are journaled as
+events but never marked done, so a resume gives them a fresh chance.
+
+The persistence rule — what is stored, under which key, what may be
+served back — is defined once here (:func:`lookup_verdict`,
+:func:`persist_verdict`, :func:`replay_verdicts`) and used by both this
+driver and the solve daemon.
 """
 
 from __future__ import annotations
@@ -42,12 +48,12 @@ import os
 import time
 from dataclasses import dataclass, field, replace as dc_replace
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from .protocol import Limits, Task, canonical_json, task_key
-from .store import Journal, ResultStore, payload_digest
+from .sharedcache import Journal, SharedCache, payload_digest
 from .supervisor import RetryPolicy, SupervisedResult, Supervisor
-from .worker import task_for_case, task_for_fusion, task_for_race
+from .worker import WorkerOutcome, task_for_fusion, task_for_race
 
 __all__ = ["BatchError", "BatchReport", "load_manifest", "run_batch"]
 
@@ -148,19 +154,24 @@ def load_manifest(path: Path) -> List[Task]:
 
 
 # ----------------------------------------------------------------------
-# Result-cache plumbing
+# The persistence rule (shared by the batch driver and the daemon)
+
+_CHECK_KINDS = ("check-race", "check-fusion")
 
 
-def _query_for_task(task: Task):
-    """The Query-IR object behind a ``check-*`` task, or ``None``.
+def _query_for_task(task: Task, stats=None):
+    """``(query, plan, allow_bisim)`` behind a ``check-*`` task, or
+    ``None``.
 
-    Any parse/validation/mapping problem makes the task uncacheable (it
-    is simply dispatched to a worker, which reports the real error);
-    the cache must never turn a malformed task into a crash here.
+    Any parse/validation/mapping/engine-name problem makes the task
+    uncacheable (it is simply dispatched to a worker, which reports the
+    real error); the cache must never turn a malformed task into a
+    crash here.  Each such task is counted in ``stats.uncacheable``
+    when ``stats`` (a :class:`~repro.engine.cache.CacheStats`) is given.
     """
-    if task.kind not in ("check-race", "check-fusion"):
+    if task.kind not in _CHECK_KINDS:
         return None
-    from ..engine import EquivalenceQuery, RaceQuery
+    from ..engine import EquivalenceQuery, RaceQuery, plan_for
     from ..lang.parser import parse_program
     from ..lang.validate import validate
 
@@ -168,14 +179,16 @@ def _query_for_task(task: Task):
     opts = payload.get("options") or {}
     scope = opts.get("max_internal", 4)
     entry = payload.get("entry", "Main")
+    allow_bisim = bool(opts.get("check_bisim", True))
     try:
+        plan = plan_for(opts.get("engine", "auto"))
         if task.kind == "check-race":
             p = parse_program(
                 payload["source"], name=payload.get("name", "program"),
                 entry=entry,
             )
             validate(p)
-            return RaceQuery(program=p, scope=scope)
+            return RaceQuery(program=p, scope=scope), plan, allow_bisim
         p = parse_program(
             payload["source"], name=payload.get("name", "original"),
             entry=entry,
@@ -198,11 +211,76 @@ def _query_for_task(task: Task):
             mapping = correspondence_by_key(
                 p, q, overrides=overrides, strict=True
             )
-        return EquivalenceQuery(
+        query = EquivalenceQuery(
             program=p, program2=q, mapping=mapping, scope=scope
         )
+        return query, plan, allow_bisim
     except Exception:
+        if stats is not None:
+            stats.uncacheable += 1
         return None
+
+
+def lookup_verdict(rcache, task: Task, key: str) -> Optional[Dict[str, Any]]:
+    """The stored result a driver may serve for ``task`` instead of
+    solving it, or ``None``.
+
+    A ``check-*`` task is served only through
+    :meth:`~repro.engine.cache.ResultCache.lookup`, which applies the
+    soundness gating; never from its task row, which may hold an
+    ``unknown`` or a verdict another plan decided.  A fuzz case is
+    served from its task row.
+    """
+    if task.kind in _CHECK_KINDS:
+        info = _query_for_task(task, rcache.stats)
+        if info is None:
+            return None
+        query, plan, allow_bisim = info
+        record = rcache.lookup(query, plan, allow_bisim=allow_bisim)
+    else:
+        record = rcache.backend.get(key)
+    return None if record is None else record.get("result")
+
+
+def persist_verdict(
+    rcache, journal: Journal, task: Task, key: str,
+    value: Dict[str, Any], **event: Any,
+) -> None:
+    """Make one ok result durable: a row under its task key, a
+    query-keyed cache record for a decided ``check-*`` verdict, then
+    the journal's ``verdict`` line (extra fields from ``event``)
+    pointing at the row."""
+    rcache.backend.put(key, {"key": key, "kind": task.kind, "result": value})
+    info = _query_for_task(task)
+    if info is not None:
+        rcache.store(info[0], value)
+    journal.append({"event": "verdict", "key": key, "name": task.name,
+                    **event})
+
+
+def replay_verdicts(
+    journal: Journal, rows: SharedCache
+) -> Tuple[Dict[str, Dict[str, Any]], Set[str], int]:
+    """Re-verify every row the journal's ``verdict`` lines point at.
+
+    Returns the verified results by task key, the journaled keys whose
+    row is missing, stale or corrupt (they must be recomputed), and the
+    number of torn journal lines skipped."""
+    replayed = journal.replay()
+    verified: Dict[str, Dict[str, Any]] = {}
+    missing: Set[str] = set()
+    for rec in replayed.records:
+        key = rec.get("key")
+        if rec.get("event") != "verdict" or not key:
+            continue
+        if key in verified or key in missing:
+            continue
+        row = rows.get(key)
+        if row is None:
+            missing.add(key)
+        else:
+            verified[key] = row["result"]
+    return verified, missing, replayed.skipped_lines
 
 
 # ----------------------------------------------------------------------
@@ -252,6 +330,7 @@ class BatchReport:
     results: List[Dict[str, Any]] = field(default_factory=list)
     journal_skipped_lines: int = 0
     quarantined: int = 0
+    stale: int = 0
     cache_hits: int = 0
     cache: Dict[str, int] = field(default_factory=dict)
     elapsed: float = 0.0
@@ -288,8 +367,13 @@ class BatchReport:
             )
         if self.quarantined:
             lines.append(
-                f"  {self.quarantined} corrupt store record(s) quarantined "
-                "and recomputed"
+                f"  {self.quarantined} corrupt row(s) quarantined and "
+                "recomputed"
+            )
+        if self.stale:
+            lines.append(
+                f"  {self.stale} row(s) written by other code ignored "
+                "as stale"
             )
         if self.cache_hits:
             lines.append(
@@ -357,35 +441,27 @@ def run_batch(
             + "\n",
         )
 
-    store = ResultStore(run_dir)
+    from ..engine import ResultCache
+
+    rows = SharedCache(run_dir / "cache.sqlite")
+    rcache = ResultCache(backend=rows)
     journal = Journal(run_dir / "journal.jsonl")
-    replayed = journal.replay()
-
-    # A journal line is only a pointer; the checksummed store record is
-    # the evidence.  Missing/corrupt records are recomputed.
+    # A journal line is only a pointer; the checksummed row is the
+    # evidence.  Missing, stale or corrupt rows are recomputed.
+    verified, missing, skipped_lines = replay_verdicts(journal, rows)
     done: Dict[str, SupervisedResult] = {}
-    journaled_keys = {
-        rec["key"]
-        for rec in replayed.records
-        if rec.get("event") == "verdict" and "key" in rec
-    }
-    keys = {task_key(t): t for t in tasks}
-    from .worker import WorkerOutcome
-
-    for key, task in keys.items():
-        if key not in journaled_keys:
-            continue
-        payload = store.get(key)
-        if payload is None:
-            say(f"journaled result for {task.name} missing or corrupt; "
-                "recomputing")
-            continue
-        done[key] = SupervisedResult(
-            task=task,
-            key=key,
-            final=WorkerOutcome(status="ok", value=payload),
-            attempts=[],
-        )
+    for task in tasks:
+        key = task_key(task)
+        if key in verified:
+            done[key] = SupervisedResult(
+                task=task,
+                key=key,
+                final=WorkerOutcome(status="ok", value=verified[key]),
+                attempts=[],
+            )
+        elif key in missing:
+            say(f"journaled result for {task.name} missing, stale or "
+                "corrupt; recomputing")
 
     pending = [t for t in tasks if task_key(t) not in done]
     say(
@@ -393,59 +469,17 @@ def run_batch(
         f"{len(pending)} to run (isolation={isolation}, jobs={jobs})"
     )
 
-    # Content-addressed verdict cache: keyed by *query* hash (what is
-    # asked), unlike the run's result store, which is keyed by task
-    # hash.  Persisted inside the run directory so a rerun over the same
-    # directory — and any other run pointed at it — reuses decided
-    # verdicts whose deciding engine's capabilities allow it.
-    from ..core.api import _decided_engine
-    from ..engine import ResultCache, plan_for
-
-    cache = ResultCache(run_dir / "cache")
-    queries: Dict[str, tuple] = {}
-    for t in pending:
-        query = _query_for_task(t)
-        if query is None:
-            continue
-        opts = t.payload.get("options") or {}
-        try:
-            plan = plan_for(opts.get("engine", "auto"))
-        except ValueError:
-            continue
-        queries[task_key(t)] = (
-            query, plan, bool(opts.get("check_bisim", True))
-        )
-
     supervisor = Supervisor(policy=policy, isolation=isolation)
     computed: Dict[str, SupervisedResult] = {}
     cached: Dict[str, SupervisedResult] = {}
 
     def on_result(res: SupervisedResult) -> None:
         if res.ok:
-            store.put(res.key, res.final.value or {})
-            journal.append({
-                "event": "verdict",
-                "key": res.key,
-                "name": res.task.name,
-                "verdict": _task_verdict(res)["verdict"],
-                "attempts": len(res.attempts),
-            })
-            info = queries.get(res.key)
-            if info is not None and res.key not in cached:
-                query, _plan, _allow = info
-                value = res.final.value or {}
-                details = value.get("details") or {}
-                decided_by = details.get("decided_by")
-                cache.store(
-                    query,
-                    value.get("verdict", "unknown"),
-                    bool(value.get("holds")),
-                    decided_by,
-                    _decided_engine(
-                        decided_by, details.get("attempts") or []
-                    ),
-                    value,
-                )
+            persist_verdict(
+                rcache, journal, res.task, res.key, res.final.value or {},
+                verdict=_task_verdict(res)["verdict"],
+                attempts=len(res.attempts),
+            )
         else:
             journal.append({
                 "event": "failed",
@@ -462,17 +496,13 @@ def run_batch(
 
     for t in pending:
         key = task_key(t)
-        info = queries.get(key)
-        if info is None:
-            continue
-        query, plan, allow_bisim = info
-        record = cache.lookup(query, plan, allow_bisim=allow_bisim)
-        if record is None:
+        value = lookup_verdict(rcache, t, key)
+        if value is None:
             continue
         res = SupervisedResult(
             task=t,
             key=key,
-            final=WorkerOutcome(status="ok", value=record["result"]),
+            final=WorkerOutcome(status="ok", value=value),
             attempts=[],
         )
         cached[key] = res
@@ -486,10 +516,11 @@ def run_batch(
     report.resumed = len(done)
     report.ran = len(computed) - len(cached)
     report.cache_hits = len(cached)
-    report.cache = cache.stats.as_dict()
+    report.cache = rcache.stats.as_dict()
     report.breaker_open = supervisor.breaker.open
-    report.journal_skipped_lines = replayed.skipped_lines
-    report.quarantined = len(store.quarantined)
+    report.journal_skipped_lines = skipped_lines
+    report.quarantined = len(rows.quarantined)
+    report.stale = rows.stale
 
     attempts_out: Dict[str, Any] = {}
     for task in tasks:
@@ -538,6 +569,7 @@ def run_batch(
                 },
                 "journal_skipped_lines": report.journal_skipped_lines,
                 "quarantined": report.quarantined,
+                "stale": report.stale,
                 "cache_hits": report.cache_hits,
                 "cache": report.cache,
                 "elapsed": round(report.elapsed, 3),
@@ -547,4 +579,5 @@ def run_batch(
             indent=1,
         ) + "\n",
     )
+    rows.close()
     return report

@@ -7,20 +7,23 @@ framing as the worker protocol, and fronting the PR 4 supervisor pool
 behind the PR 5 query-keyed cache.  The request path is::
 
     client ──▶ admission (quota, bounded queue, shedding)
-           ──▶ shared-cache lookup (sqlite tier, soundness-gated reuse)
+           ──▶ verdict-store lookup (sqlite, soundness-gated reuse)
            ──▶ coalescing (identical in-flight keys share one solve)
            ──▶ fair scheduler (stride over client weights)
            ──▶ supervisor pool (sandboxed workers, retries, breaker)
-           ──▶ journal + shared cache  ──▶ every waiter's response
+           ──▶ verdict store + journal  ──▶ every waiter's response
 
-**Durability contract.**  A verdict is durable once its checksummed row
-is in the shared sqlite cache *and* a journal line points at it — both
-happen before any client sees the result.  ``SIGKILL`` at any moment
+**Durability contract.**  The daemon persists and serves verdicts by
+the same rule as ``repro batch`` (:func:`repro.service.batch.
+persist_verdict`): a verdict is durable once its checksummed task row
+is in ``cache.sqlite`` *and* a journal line points at it — both happen
+before any client sees the result.  ``SIGKILL`` at any moment
 loses at most in-flight work (clients see a dropped connection and
 resubmit); on restart the journal is replayed, every journaled row is
-re-verified byte-for-byte (corrupt rows are quarantined and will be
-recomputed), and resubmissions of completed work are answered from the
-cache — no lost and no duplicated verdicts.  ``SIGTERM`` drains:
+re-verified byte-for-byte (corrupt rows are quarantined, rows stamped
+by other code are ignored as stale, and both are recomputed), and
+resubmissions of completed work are answered from the cache — no lost
+and no duplicated verdicts.  ``SIGTERM`` drains:
 admission closes (``ServiceOverloaded(reason="shutting-down")``),
 queued and running work completes and is answered, then the daemon
 exits 0.
@@ -47,7 +50,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from ..runtime import faults
 from .client import DaemonError
@@ -58,8 +61,8 @@ from .scheduler import (
     ServiceOverloaded,
     Submission,
 )
-from .sharedcache import SharedCache
-from .store import Journal
+from .batch import lookup_verdict, persist_verdict, replay_verdicts
+from .sharedcache import Journal, SharedCache
 from .supervisor import RetryPolicy, SupervisedResult, Supervisor
 
 __all__ = [
@@ -303,93 +306,23 @@ class SolveDaemon:
             self._lock_fp = None
 
     def _replay_journal(self) -> None:
-        """Re-verify every journaled verdict against the shared cache;
-        corrupt or missing rows are counted and will be recomputed."""
-        rep = self.journal.replay()
-        self.stats["journal_skipped_lines"] = rep.skipped_lines
-        seen = set()
-        for rec in rep.records:
-            if rec.get("event") != "verdict":
-                continue
-            ckey = rec.get("ckey")
-            if not ckey or ckey in seen:
-                continue
-            seen.add(ckey)
-            if self.cache.get(ckey) is not None:
-                self.stats["replayed"] += 1
-            else:
-                self.stats["replay_missing"] += 1
-        verified, _corrupt = self.cache.verify_all()
-        self.stats["verified_rows"] = verified
-        # Everything this instance quarantined so far — rows caught by
-        # the replay loop's reads count too, not just verify_all's.
+        """Re-verify every journaled verdict's row; missing, stale or
+        corrupt rows are counted and will be recomputed."""
+        verified, missing, skipped = replay_verdicts(self.journal, self.cache)
         corrupt = len(self.cache.quarantined)
-        self.stats["verify_quarantined"] = corrupt
-        if seen or corrupt:
-            self.say(
-                f"journal replay: {self.stats['replayed']} verdict(s) "
-                f"verified, {self.stats['replay_missing']} missing/corrupt; "
-                f"cache: {verified} row(s) byte-verified, "
-                f"{corrupt} quarantined"
-            )
-
-    # -- cache plumbing --------------------------------------------------
-
-    def _query_info(self, task: Task) -> Optional[Tuple]:
-        """(query, plan, allow_bisim) for a ``check-*`` task, else
-        ``None`` (fuzz cases are cached raw by task key)."""
-        from ..engine import plan_for
-        from .batch import _query_for_task
-
-        query = _query_for_task(task)
-        if query is None:
-            return None
-        opts = task.payload.get("options") or {}
-        try:
-            plan = plan_for(opts.get("engine", "auto"))
-        except ValueError:
-            return None
-        return query, plan, bool(opts.get("check_bisim", True))
-
-    def _cache_lookup(self, task: Task, key: str) -> Optional[Dict[str, Any]]:
-        if task.kind in ("check-race", "check-fusion"):
-            info = self._query_info(task)
-            if info is None:
-                return None
-            query, plan, allow_bisim = info
-            record = self.rcache.lookup(query, plan, allow_bisim=allow_bisim)
-            return None if record is None else record.get("result")
-        raw = self.cache.get(key)
-        return None if raw is None else raw.get("result")
-
-    def _store_result(
-        self, sub: Submission, value: Dict[str, Any]
-    ) -> Optional[str]:
-        """Persist one verdict into the shared tier; returns the cache
-        row key (``None`` when nothing durable was stored — e.g. an
-        ``unknown`` verdict, which must always be recomputed)."""
-        if sub.task.kind in ("check-race", "check-fusion"):
-            info = self._query_info(sub.task)
-            if info is None:
-                return None
-            from ..core.api import _decided_engine
-
-            query, _plan, _allow = info
-            details = value.get("details") or {}
-            decided_by = details.get("decided_by")
-            stored = self.rcache.store(
-                query,
-                value.get("verdict", "unknown"),
-                bool(value.get("holds")),
-                decided_by,
-                _decided_engine(decided_by, details.get("attempts") or []),
-                value,
-            )
-            return query.key() if stored else None
-        self.cache.put(
-            sub.key, {"key": sub.key, "kind": sub.task.kind, "result": value}
+        self.stats.update(
+            replayed=len(verified),
+            replay_missing=len(missing),
+            journal_skipped_lines=skipped,
+            verified_rows=len(verified),
+            verify_quarantined=corrupt,
         )
-        return sub.key
+        if verified or missing:
+            self.say(
+                f"journal replay: {len(verified)} verdict(s) verified, "
+                f"{len(missing)} missing/stale/corrupt ({corrupt} "
+                f"quarantined, {self.cache.stale} stale)"
+            )
 
     # -- result fan-out --------------------------------------------------
 
@@ -403,16 +336,9 @@ class SolveDaemon:
         self.stats["retries"] += res.retries
         if res.ok:
             value = res.final.value or {}
-            ckey = self._store_result(sub, value)
-            self.journal.append(
-                {
-                    "event": "verdict" if ckey else "undecided",
-                    "key": sub.key,
-                    "ckey": ckey,
-                    "client": sub.client,
-                    "name": sub.task.name,
-                    "verdict": value.get("verdict", "ok"),
-                }
+            persist_verdict(
+                self.rcache, self.journal, sub.task, sub.key, value,
+                client=sub.client, verdict=value.get("verdict", "ok"),
             )
             self.stats["completed"] += 1
             payload = {
@@ -544,7 +470,7 @@ class SolveDaemon:
                 ),
             )
             return
-        hit = self._cache_lookup(task, key)
+        hit = lookup_verdict(self.rcache, task, key)
         if hit is not None:
             self.stats["cache_hits"] += 1
             await write_frame_async(

@@ -125,8 +125,8 @@ def task_key(task: Task) -> str:
 
     Delegates to :func:`repro.engine.keys.content_key` — the same
     formula behind :meth:`repro.engine.query.RaceQuery.key` — so a
-    query hashed in-process, a batch-store entry, and a fuzz-dedup key
-    all agree byte-for-byte.
+    query hashed in-process, a task row in the verdict store, and a
+    fuzz-dedup key all agree byte-for-byte.
     """
     return content_key(task.kind, task.payload)
 

@@ -203,7 +203,7 @@ def test_shared_cache_roundtrip_across_instances(tmp_path):
     c2 = SharedCache(path)
     assert c2.get("k1") == {"verdict": "race", "n": 2}
     assert c2.get("missing") is None
-    assert len(c2) == 1 and c2.verify_all() == (1, 0)
+    assert len(c2) == 1 and c2.quarantine_count() == 0
     c2.close()
 
 
@@ -231,6 +231,15 @@ def test_byte_flip_is_quarantined_never_served(tmp_path):
     # Recompute path: a fresh put of the true verdict is served again.
     cache.put("k1", {"verdict": "race-free", "holds": True})
     assert cache.get("k1")["verdict"] == "race-free"
+    # Unparseable garbage quarantines too.
+    cache.put("k2", {"verdict": "race"})
+    conn = sqlite3.connect(path)
+    conn.execute("UPDATE records SET payload='{nope' WHERE key='k2'")
+    conn.commit()
+    conn.close()
+    assert cache.get("k2") is None
+    assert cache.quarantined == ["k1", "k2"]
+    assert cache.get("missing") is None
     cache.close()
 
 
@@ -274,11 +283,6 @@ def test_result_cache_over_shared_backend(tmp_path):
     assert record is not None and record["verdict"] == "race"
     assert rc2.stats.hits == 1
     shared2.close()
-
-
-def test_result_cache_rejects_both_path_and_backend(tmp_path):
-    with pytest.raises(ValueError):
-        ResultCache(path=tmp_path, backend=SharedCache(tmp_path / "c.db"))
 
 
 # ----------------------------------------------------------------------
@@ -353,7 +357,8 @@ def test_daemon_solves_caches_and_coalesces(tmp_path):
     assert st["breaker"]["open"] is False
     assert st["breaker"]["trips"] == 0
     assert st["retry_budget"]["per_task_max"] == 2
-    assert st["cache"]["shared"]["rows"] == 2
+    # A task row plus a query record per decided check solve.
+    assert st["cache"]["shared"]["rows"] == 4
     assert st["queue"]["counters"]["admitted"] == 2
     assert "test" in st["queue"]["clients"]
 
@@ -399,6 +404,60 @@ def test_daemon_quarantines_corruption_across_restart(tmp_path):
             r = c.submit_task(task)
             assert not r["cached"]  # recomputed, not served corrupt
             assert r["value"]["verdict"] == "race"
+
+
+def test_daemon_restart_reads_unstamped_rows_as_stale(tmp_path):
+    """A cache.sqlite from before semantics stamps (no ``semantics``
+    column) still opens; its rows are stale: never served, never
+    quarantined, and recomputed."""
+    run_dir = tmp_path / "run"
+    task = racy_task()
+    with DaemonHandle(run_dir) as h:
+        with h.client() as c:
+            assert c.submit_task(task)["value"]["verdict"] == "race"
+        assert h.stop() == 0
+
+    conn = sqlite3.connect(run_dir / "cache.sqlite")
+    conn.execute("ALTER TABLE records DROP COLUMN semantics")
+    conn.commit()
+    conn.close()
+
+    with DaemonHandle(run_dir) as h2:
+        assert h2.daemon.stats["replayed"] == 0
+        assert h2.daemon.stats["replay_missing"] == 1
+        assert h2.daemon.stats["verify_quarantined"] == 0
+        with h2.client() as c:
+            r = c.submit_task(task)
+            assert not r["cached"] and r["value"]["verdict"] == "race"
+            st = c.status()
+    # The journaled task row, then the query record.
+    assert st["cache"]["shared"]["stale"] == 2
+    assert st["cache"]["shared"]["quarantined"] == 0
+
+
+def test_daemon_never_serves_a_check_task_row(tmp_path):
+    """Check tasks are served only through the soundness-gated query
+    record, never from their task row."""
+    run_dir = tmp_path / "run"
+    task = racy_task()
+    key = task_key(task)
+    rows = SharedCache(run_dir / "cache.sqlite")
+    rows.put(key, {"key": key, "kind": task.kind,
+                   "result": {"verdict": "race-free", "holds": True}})
+    rows.close()
+    with DaemonHandle(run_dir) as h:
+        with h.client() as c:
+            r = c.submit_task(task)
+            assert not r["cached"] and r["value"]["verdict"] == "race"
+
+
+def test_daemon_status_counts_uncacheable_tasks(tmp_path):
+    with DaemonHandle(tmp_path / "run") as h:
+        with h.client() as c:
+            bad = task_for_race("Main(n) {", options=BOUNDED, name="bad")
+            assert not c.submit_task(bad)["ok"]
+            st = c.status()
+    assert st["cache"]["memory"]["uncacheable"] == 1
 
 
 def test_daemon_overload_and_shedding_e2e(tmp_path):

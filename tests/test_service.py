@@ -2,14 +2,16 @@
 
 Covers the worker wire protocol, the sandboxed child (including real
 SIGSEGV crashes injected with ``REPRO_FAULT=worker-abort``), the
-supervisor's retry/circuit-breaker policy, the checksummed store and
-journal, and the resumable batch layer.  Everything that spawns a child
-uses the bounded engine on tiny programs so a full run stays in seconds.
+supervisor's retry/circuit-breaker policy, the journal, and the
+resumable batch layer over the one sqlite verdict store.  Everything
+that spawns a child uses the bounded engine on tiny programs so a full
+run stays in seconds.
 """
 
 import io
 import json
 import os
+import sqlite3
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +24,6 @@ from repro.service import (
     CircuitBreaker,
     Journal,
     Limits,
-    ResultStore,
     RetryPolicy,
     Supervisor,
     Task,
@@ -267,26 +268,7 @@ def test_supervisor_map_parallel():
 
 
 # ----------------------------------------------------------------------
-# Store + journal
-
-
-def test_store_roundtrip_and_quarantine(tmp_path):
-    store = ResultStore(tmp_path)
-    store.put("k1", {"verdict": "race-free"})
-    assert store.get("k1") == {"verdict": "race-free"}
-    # Corrupt the record on disk: it must be quarantined, not believed.
-    path = store.path_for("k1")
-    rec = json.loads(path.read_text())
-    rec["payload"]["verdict"] = "race"
-    path.write_text(json.dumps(rec))
-    assert store.get("k1") is None
-    assert store.quarantined == ["k1"]
-    assert not path.exists()
-    assert (tmp_path / "quarantine" / "k1.json").exists()
-    # Unparseable garbage quarantines too.
-    store.path_for("k2").write_text("{nope")
-    assert store.get("k2") is None
-    assert store.get("missing") is None
+# Journal
 
 
 def test_journal_replay_skips_torn_tail(tmp_path):
@@ -389,6 +371,20 @@ def write_manifest(path: Path, tasks=None) -> Path:
     return path
 
 
+def flip_row(run: Path, key: str) -> None:
+    """Flip bytes in one stored row behind the store's back."""
+    conn = sqlite3.connect(run / "cache.sqlite")
+    (payload,) = conn.execute(
+        "SELECT payload FROM records WHERE key = ?", (key,)
+    ).fetchone()
+    conn.execute(
+        "UPDATE records SET payload = ? WHERE key = ?",
+        (payload.replace("race", "rice", 1), key),
+    )
+    conn.commit()
+    conn.close()
+
+
 def test_load_manifest_validates(tmp_path):
     m = write_manifest(tmp_path / "m.json")
     tasks = load_manifest(m)
@@ -439,7 +435,7 @@ def test_batch_run_and_full_resume(tmp_path):
 
 def test_batch_resume_after_torn_journal(tmp_path):
     """Simulated kill -9: keep one journaled verdict, tear the journal
-    tail, drop the other store record — resume recomputes exactly the
+    tail, drop the other task row — resume recomputes exactly the
     missing task and results.json is byte-identical."""
     m = write_manifest(tmp_path / "m.json")
     run_a = tmp_path / "run-a"
@@ -452,7 +448,8 @@ def test_batch_resume_after_torn_journal(tmp_path):
     lines = journal.read_text().splitlines()
     keep, drop = lines[0], json.loads(lines[1])
     journal.write_text(keep + "\n" + '{"event": "verdict", "key": "to')
-    (run_b / "store" / f"{drop['key']}.json").unlink()
+    with sqlite3.connect(run_b / "cache.sqlite") as conn:
+        conn.execute("DELETE FROM records WHERE key = ?", (drop["key"],))
     (run_b / "results.json").unlink()
 
     report = run_batch(m, run_b, resume=True)
@@ -469,12 +466,105 @@ def test_batch_corrupt_store_record_recomputed(tmp_path):
     run = tmp_path / "run"
     run_batch(m, run)
     golden = (run / "results.json").read_bytes()
-    victim = next((run / "store").glob("*.json"))
-    victim.write_text(victim.read_text().replace("race", "rice", 1))
+    victim = json.loads((run / "journal.jsonl").read_text().splitlines()[0])
+    flip_row(run, victim["key"])
     report = run_batch(m, run, resume=True)
     assert report.quarantined == 1
     assert report.ran + report.cache_hits == 1
     assert (run / "results.json").read_bytes() == golden
+
+
+def test_batch_report_counts_every_quarantined_row(tmp_path):
+    """A corrupt query record (not just a corrupt task row) is counted
+    in report.json and named in the summary."""
+    from repro.service.batch import _query_for_task
+
+    m = write_manifest(tmp_path / "m.json")
+    run = tmp_path / "run"
+    run_batch(m, run)
+    golden = (run / "results.json").read_bytes()
+    racy = load_manifest(m)[0]
+    conn = sqlite3.connect(run / "cache.sqlite")
+    conn.execute("DELETE FROM records WHERE key = ?", (task_key(racy),))
+    conn.commit()
+    conn.close()
+    flip_row(run, _query_for_task(racy)[0].key())
+
+    report = run_batch(m, run, resume=True)
+    assert report.resumed == 1 and report.ran == 1
+    assert report.quarantined == 1
+    assert json.loads((run / "report.json").read_text())["quarantined"] == 1
+    assert "1 corrupt row(s) quarantined" in report.summary()
+    assert (run / "results.json").read_bytes() == golden
+
+
+@pytest.mark.parametrize("action", ["raise", "corrupt"])
+def test_batch_resume_quarantines_under_row_fault(tmp_path, action):
+    """The cache-row-corrupt probe on the first row a resume reads:
+    that row is quarantined, its task is not taken from it, and
+    results.json stays byte-identical."""
+    from repro.runtime import faults
+
+    m = write_manifest(tmp_path / "m.json")
+    run = tmp_path / "run"
+    run_batch(m, run)
+    golden = (run / "results.json").read_bytes()
+    faults.disarm_all()
+    spec = faults.arm("cache-row-corrupt", hit=1, action=action)
+    try:
+        report = run_batch(m, run, resume=True)
+    finally:
+        faults.disarm_all()
+    assert spec.fired
+    assert report.quarantined == 1
+    assert report.resumed == 1 and report.ran + report.cache_hits == 1
+    assert (run / "results.json").read_bytes() == golden
+
+
+def test_batch_resume_ignores_rows_of_other_code(tmp_path, monkeypatch):
+    """Rows stamped with another semantics version are stale: counted,
+    never served, never quarantined, and every task is recomputed."""
+    from repro.service import sharedcache
+
+    m = write_manifest(tmp_path / "m.json")
+    run = tmp_path / "run"
+    run_batch(m, run)
+    golden = (run / "results.json").read_bytes()
+    monkeypatch.setattr(
+        sharedcache, "SEMANTICS_VERSION", sharedcache.SEMANTICS_VERSION + 1
+    )
+    report = run_batch(m, run, resume=True)
+    assert report.resumed == 0 and report.cache_hits == 0 and report.ran == 2
+    assert report.quarantined == 0
+    # Two journaled task rows, then two query records, all stale.
+    assert report.stale == 4
+    assert json.loads((run / "report.json").read_text())["stale"] == 4
+    assert (run / "results.json").read_bytes() == golden
+    # The recomputed rows carry the new stamp and are served again.
+    assert run_batch(m, run, resume=True).resumed == 2
+
+
+def test_batch_run_dir_layout(tmp_path):
+    m = write_manifest(tmp_path / "m.json")
+    run = tmp_path / "run"
+    run_batch(m, run)
+    names = {p.name for p in run.iterdir()}
+    names -= {"cache.sqlite-wal", "cache.sqlite-shm"}
+    assert names == {
+        "manifest.json", "meta.json", "journal.jsonl", "cache.sqlite",
+        "results.json", "report.json",
+    }
+
+
+def test_batch_counts_uncacheable_tasks(tmp_path):
+    m = write_manifest(tmp_path / "m.json", tasks=[
+        {"name": "racy", "kind": "check-race", "source": RACY},
+        {"name": "broken", "kind": "check-race", "source": "Main(n) {"},
+    ])
+    run = tmp_path / "run"
+    run_batch(m, run)
+    report = json.loads((run / "report.json").read_text())
+    assert report["cache"]["uncacheable"] == 1
 
 
 def test_batch_failed_task_retried_on_resume(tmp_path):
