@@ -303,6 +303,36 @@ class TreeAutomaton:
             complete=self.complete,
         )
 
+    def renamed(
+        self, names: Mapping[str, str], guard: Optional[ResourceGuard] = None
+    ) -> "TreeAutomaton":
+        """The same automaton over other tracks: track ``t`` becomes
+        ``names[t]``.
+
+        Every guard goes through :meth:`BDDManager.rename`, so the map
+        must keep the tracks' level order (``ValueError`` otherwise) and
+        must name every track.  States, transitions and flags are
+        copied unchanged.
+        """
+        if guard is not None:
+            guard.check_now("automata.rename")
+        level = self.registry.level
+        level_map = {level(old): level(new) for old, new in names.items()}
+        rename = self.manager.rename
+        return TreeAutomaton(
+            registry=self.registry,
+            tracks=frozenset(names[t] for t in self.tracks),
+            n_states=self.n_states,
+            leaf=[(rename(g, level_map), q) for g, q in self.leaf],
+            delta={
+                k: [(rename(g, level_map), q) for g, q in v]
+                for k, v in self.delta.items()
+            },
+            accepting=self.accepting,
+            deterministic=self.deterministic,
+            complete=self.complete,
+        )
+
     def with_tracks(self, tracks: Iterable[str]) -> "TreeAutomaton":
         """Cylindrification: declare extra tracks (guards unchanged)."""
         return TreeAutomaton(

@@ -21,7 +21,7 @@ which survives as :class:`repro.bdd.reference.ReferenceBDDManager` and is
 held equivalent by ``tests/test_bdd_differential.py``:
 
 * terminals are ``0`` and ``1``; a node is an ``int`` index;
-* ``apply`` / ``ite`` / ``exists`` are memoized per manager;
+* ``apply`` / ``ite`` / ``exists`` / ``rename`` are memoized per manager;
 * variables are integer *levels*; the caller (the automata layer) maps
   track names to levels;
 * ``cache_stats()`` exposes the same counter keys.
@@ -29,7 +29,7 @@ held equivalent by ``tests/test_bdd_differential.py``:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..runtime import faults as _faults
 from ..runtime.errors import MemoryCeilingExceeded
@@ -82,6 +82,8 @@ class BDDManager:
         self._op_entries = [0, 0, 0, 0, 0]
         # Quantified level-set -> packed bitmask (exists() cache keys).
         self._mask_cache: Dict[frozenset, int] = {}
+        # Level map (sorted item tuple) -> node -> renamed node.
+        self._rename_memo: Dict[Tuple[Tuple[int, int], ...], Dict[int, int]] = {}
         # Optional ResourceGuard (set via guard.bind_manager): enforces
         # the BDD-node ceiling and the deadline from inside allocation.
         self.guard = None
@@ -338,6 +340,44 @@ class BDDManager:
             r = self._mk(lvl, elo, ehi)
         self._op_cache[key] = r
         self._op_entries[_EXISTS] += 1
+        return r
+
+    # -- level renaming ------------------------------------------------------------
+    def rename(self, u: int, level_map: Mapping[int, int]) -> int:
+        """``u`` with every level ``l`` relabelled ``level_map[l]``.
+
+        A memoized structural copy through ``_mk``.  The map must be
+        strictly monotone, so the copy is again ordered and reduced; a
+        non-monotone map, or a node on a level the map omits, raises
+        ``ValueError`` instead of returning a misordered BDD.
+        """
+        if u <= TRUE:
+            return u
+        key = tuple(sorted(level_map.items()))
+        memo = self._rename_memo.get(key)
+        if memo is None:
+            news = [new for _old, new in key]
+            if any(b <= a for a, b in zip(news, news[1:])):
+                raise ValueError(f"non-monotone level map {dict(key)}")
+            if news and not (0 <= news[0] and news[-1] < _MAX_LEVEL):
+                raise ValueError(f"BDD level map {dict(key)} outside [0, {_MAX_LEVEL})")
+            memo = self._rename_memo[key] = {}
+        return self._rename(u, level_map, memo)
+
+    def _rename(self, u: int, level_map: Mapping[int, int], memo: Dict[int, int]) -> int:
+        if u <= TRUE:
+            return u
+        r = memo.get(u)
+        if r is None:
+            new = level_map.get(self._var[u])
+            if new is None:
+                raise ValueError(f"BDD level {self._var[u]} missing from rename map")
+            r = self._mk(
+                new,
+                self._rename(self._lo[u], level_map, memo),
+                self._rename(self._hi[u], level_map, memo),
+            )
+            memo[u] = r
         return r
 
     # -- evaluation / models -----------------------------------------------------------

@@ -4,14 +4,16 @@ This is the pre-int-table :class:`BDDManager`, kept verbatim (modulo the
 class name) as the differential-testing oracle for the flat int-table
 implementation in :mod:`repro.bdd.bdd`.  The two managers must agree on
 every observable: node semantics (truth tables), ``cache_stats()`` key
-shape, and the node-index sequences that feed ``structural_key``.  It is
+shape, and the node-index sequences that end up in compiled automata
+(``rename`` included: the compiler's shape memo serves other tracks
+through it).  It is
 not exported from the package ``__init__`` and nothing in the solver
 imports it; only ``tests/test_bdd_differential.py`` does.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..runtime import faults as _faults
 
@@ -44,6 +46,7 @@ class ReferenceBDDManager:
         self._op_cache: Dict[Tuple, int] = {}
         self._op_hits = 0
         self._op_misses = 0
+        self._rename_memo: Dict[Tuple[Tuple[int, int], ...], Dict[int, int]] = {}
         # Optional ResourceGuard (set via guard.bind_manager): enforces
         # the BDD-node ceiling and the deadline from inside allocation.
         self.guard = None
@@ -264,6 +267,37 @@ class ReferenceBDDManager:
         else:
             r = self._mk(lvl, elo, ehi)
         self._op_cache[key] = r
+        return r
+
+    # -- level renaming ------------------------------------------------------------
+    def rename(self, u: int, level_map: Mapping[int, int]) -> int:
+        """``u`` with every level ``l`` relabelled ``level_map[l]``; the
+        map must be strictly monotone (``ValueError`` otherwise)."""
+        if u <= TRUE:
+            return u
+        key = tuple(sorted(level_map.items()))
+        memo = self._rename_memo.get(key)
+        if memo is None:
+            news = [new for _old, new in key]
+            if any(b <= a for a, b in zip(news, news[1:])):
+                raise ValueError(f"non-monotone level map {dict(key)}")
+            memo = self._rename_memo[key] = {}
+        return self._rename(u, level_map, memo)
+
+    def _rename(self, u: int, level_map: Mapping[int, int], memo: Dict[int, int]) -> int:
+        if u <= TRUE:
+            return u
+        r = memo.get(u)
+        if r is None:
+            lvl, lo, hi = self._nodes[u]
+            if lvl not in level_map:
+                raise ValueError(f"BDD level {lvl} missing from rename map")
+            r = self._mk(
+                level_map[lvl],
+                self._rename(lo, level_map, memo),
+                self._rename(hi, level_map, memo),
+            )
+            memo[u] = r
         return r
 
     # -- evaluation / models -----------------------------------------------------------

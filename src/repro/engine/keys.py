@@ -6,10 +6,10 @@ One formula — the SHA-256 of the canonical JSON of ``{"kind": ...,
 :class:`~repro.service.protocol.Task` crossing the worker pipe, a
 row in the durable verdict store, a fuzz case being deduplicated.  It
 generalizes what ``service.protocol.task_key`` introduced (and that
-function now delegates here), in the spirit of the compiler's
-``structural_key`` formula cache: identity is *what* is asked, never
-how hard the asker is willing to work — execution limits are excluded
-by construction.
+function now delegates here), in the spirit of the compiler's shape
+memo (``repro.mso.compile.ShapeTable``): identity is *what* is asked,
+never how hard the asker is willing to work — execution limits are
+excluded by construction.
 
 This module deliberately imports nothing from the rest of the package
 so the worker child's protocol layer can use it without dragging the

@@ -7,7 +7,7 @@ automata; conjunction/disjunction become products; negation complements
 First-order variables are singleton tracks — ``Sing`` is conjoined at their
 quantifier.
 
-Two engineering choices keep the pipeline tractable in pure Python:
+Three engineering choices keep the pipeline tractable in pure Python:
 
 * **child-term atoms** (``x.l ∈ X``, ``isNil(x.r)``, ``y == x.l``) have
   direct automata, so the Retreet encoder emits no inner quantifiers for
@@ -16,48 +16,81 @@ Two engineering choices keep the pipeline tractable in pure Python:
   conjunctions stay trim (useful states only, no sink) all the way, and
   determinization carries a state budget that converts blow-ups into a
   clean :class:`~repro.automata.determinize.StateBudgetExceeded` for the
-  caller's fallback logic.
+  caller's fallback logic;
+* **each formula shape compiles once** (MONA shares subformulas equal up
+  to a renaming of free variables the same way).  :func:`freshen` names
+  binders by scope depth, so sibling scopes (the per-triple
+  ``∃z. Consistent(…)`` bodies, the ``∀u`` conjuncts of
+  ``Configuration``) bind the same track and repeat the same text.  The
+  memo is keyed by :class:`ShapeTable` shape — the formula with bound
+  variables numbered locally and free tracks replaced by their rank in
+  BDD level order.  A hit on the same tracks returns the cached
+  automaton; a hit on other tracks (the second configuration family, a
+  ``Next`` atom of another family) relabels the cached automaton's
+  guards with :meth:`~repro.automata.tta.TreeAutomaton.renamed`.  Ranks
+  follow level order, so every such level map is monotone and the
+  renamed guards are ordered, reduced BDDs.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..automata.determinize import determinize
 from ..automata.minimize import minimize, prune_dead, prune_unreachable
 from ..automata.tta import TrackRegistry, TreeAutomaton
 from ..runtime import ResourceGuard, as_guard
 from . import syntax as S
 
-__all__ = ["Compiler", "freshen", "structural_key"]
+__all__ = ["Compiler", "CompileStats", "ShapeTable", "freshen"]
 
 
 # ---------------------------------------------------------------------------
 # Bound-variable freshening
 # ---------------------------------------------------------------------------
 
-def freshen(f: S.Formula, counter: Optional[List[int]] = None, env=None) -> S.Formula:
-    """Rename bound variables to globally unique names."""
-    counter = counter if counter is not None else [0]
-    env = env or {}
+_BINDERS = (S.Exists1, S.Forall1, S.Exists2, S.Forall2)
 
+
+def freshen(f: S.Formula) -> S.Formula:
+    """Name every binder by its scope depth: ``x`` bound by the d-th
+    quantifier on the path from the root becomes ``x#d``.
+
+    Binders along one scope chain get distinct names; sibling scopes
+    share them, which is sound because each scope's tracks are projected
+    away before its siblings meet it.  A fresh name never captures a free
+    variable: if one would (a free name of the form ``x#d``), the pass
+    reruns with those names reserved.
+    """
+    free: Set[str] = set()
+    made: Set[str] = set()
+    g = _freshen(f, 0, {}, free, made, frozenset())
+    if free & made:
+        g = _freshen(f, 0, {}, set(), set(), frozenset(free))
+    return g
+
+
+def _freshen(f, depth, env, free, made, taken):
     def rn(name: str) -> str:
-        return env.get(name, name)
+        new = env.get(name)
+        if new is None:
+            free.add(name)
+            return name
+        return new
+
+    def term(t: S.NodeTerm) -> S.NodeTerm:
+        return S.NodeTerm(rn(t.var), t.dirs)
 
     if isinstance(f, (S.TrueF, S.FalseF)):
         return f
     if isinstance(f, S.In):
-        return S.In(S.NodeTerm(rn(f.term.var), f.term.dirs), rn(f.setvar))
+        return S.In(term(f.term), rn(f.setvar))
     if isinstance(f, S.IsNilT):
-        return S.IsNilT(S.NodeTerm(rn(f.term.var), f.term.dirs))
+        return S.IsNilT(term(f.term))
     if isinstance(f, S.RootT):
-        return S.RootT(S.NodeTerm(rn(f.term.var), f.term.dirs))
+        return S.RootT(term(f.term))
     if isinstance(f, S.EqT):
-        return S.EqT(
-            S.NodeTerm(rn(f.a.var), f.a.dirs), S.NodeTerm(rn(f.b.var), f.b.dirs)
-        )
+        return S.EqT(term(f.a), term(f.b))
     if isinstance(f, S.Reach):
         return S.Reach(rn(f.a), rn(f.b))
     if isinstance(f, S.LeftOf):
@@ -83,43 +116,131 @@ def freshen(f: S.Formula, counter: Optional[List[int]] = None, env=None) -> S.Fo
             tuple((rn(a), rn(b)) for a, b in f.strict_pairs),
         )
     if isinstance(f, S.Not):
-        return S.Not(freshen(f.body, counter, env))
-    if isinstance(f, S.And):
-        return S.And(tuple(freshen(p, counter, env) for p in f.parts))
-    if isinstance(f, S.Or):
-        return S.Or(tuple(freshen(p, counter, env) for p in f.parts))
-    if isinstance(f, (S.Exists1, S.Forall1, S.Exists2, S.Forall2)):
+        return S.Not(_freshen(f.body, depth, env, free, made, taken))
+    if isinstance(f, (S.And, S.Or)):
+        return type(f)(
+            tuple(_freshen(p, depth, env, free, made, taken) for p in f.parts)
+        )
+    if isinstance(f, _BINDERS):
+        depth += 1
         env2 = dict(env)
         fresh_names = []
         for n in f.names:
-            counter[0] += 1
-            fn = f"{n}#{counter[0]}"
+            fn = f"{n}#{depth}"
+            while fn in taken:
+                fn += "'"
             env2[n] = fn
+            made.add(fn)
             fresh_names.append(fn)
-        return type(f)(tuple(fresh_names), freshen(f.body, counter, env2))
+        body = _freshen(f.body, depth, env2, free, made, taken)
+        return type(f)(tuple(fresh_names), body)
     raise TypeError(f"unknown formula {f!r}")
 
 
-def structural_key(f: S.Formula) -> str:
-    """Cache key invariant under the *global* freshening offsets.
+# ---------------------------------------------------------------------------
+# Formula shapes (the compile memo's key)
+# ---------------------------------------------------------------------------
 
-    ``freshen`` numbers bound variables with one counter per top-level
-    formula, so the same shared predicate (``Configuration``,
-    ``Consistent``, …) embedded in two different queries gets two
-    different bound-name suffixes — and a ``str``-keyed memo table
-    recompiles it from scratch for every query.  Re-freshening the
-    subformula with a *local* counter renames its bound variables by
-    traversal position, which depends only on the subformula's own
-    structure: alpha-variants that differ only in freshening offsets map
-    to one key, while free variables (including an enclosing
-    quantifier's freshened binders) stay verbatim.
+def _atom_vars(f: S.Formula) -> Tuple[tuple, Tuple[str, ...]]:
+    """(name-free description, variable occurrences) of an atom."""
+    if isinstance(f, (S.TrueF, S.FalseF)):
+        return (type(f),), ()
+    if isinstance(f, S.In):
+        return (S.In, f.term.dirs), (f.term.var, f.setvar)
+    if isinstance(f, (S.IsNilT, S.RootT)):
+        return (type(f), f.term.dirs), (f.term.var,)
+    if isinstance(f, S.EqT):
+        return (S.EqT, f.a.dirs, f.b.dirs), (f.a.var, f.b.var)
+    if isinstance(f, (S.Reach, S.Subset)):
+        return (type(f),), (f.a, f.b)
+    if isinstance(f, (S.LeftOf, S.RightOf)):
+        return (type(f),), (f.parent, f.child)
+    if isinstance(f, (S.Sing, S.Empty)):
+        return (type(f),), (f.setvar,)
+    if isinstance(f, S.ChildIs):
+        return (S.ChildIs, f.dirs), (f.xvar, f.zvar)
+    if isinstance(f, S.ParentRelIn):
+        return (S.ParentRelIn, f.d, f.dirs), (f.uvar, f.setvar)
+    if isinstance(f, S.ParentRelNil):
+        return (S.ParentRelNil, f.d, f.dirs), (f.uvar,)
+    if isinstance(f, S.AgreeUpTo):
+        names = [f.zvar]
+        for a, b in f.pairs + f.strict_pairs:
+            names += (a, b)
+        return (S.AgreeUpTo, len(f.pairs), len(f.strict_pairs)), tuple(names)
+    raise TypeError(f"unknown formula {f!r}")
 
-    Sharing across alpha-variants is sound because a compiled
-    automaton's tracks are exactly the formula's *free* variables —
-    quantifier compilation projects the bound tracks away — and the key
-    keeps free variables distinct.
+
+class ShapeTable:
+    """Interned formula shapes: the compile memo's key, in one pass.
+
+    :meth:`key` maps a formula to ``(shape, free)``: ``free`` lists its
+    free variables in order of first occurrence, and ``shape`` is an
+    interned int that identifies the formula up to a renaming of those
+    variables — bound variables are numbered by their binder, free ones
+    by their position in ``free``.  Two formulas with one shape compile
+    to the same automaton over corresponding tracks.
+
+    A shape is built from its children's shapes, and every formula
+    object's key is remembered until :meth:`forget`, so keying a whole
+    formula — and then each subformula the compiler reaches, including
+    the ones it builds on the fly (``Forall`` as ``¬∃¬``, the ``Sing``
+    conjuncts of ``Exists1``) — costs one pass over it.  The per-object
+    entries hold their formula, so an ``id`` is never reused while it is
+    remembered.
     """
-    return str(freshen(f))
+
+    def __init__(self) -> None:
+        self._ids: Dict[tuple, int] = {}
+        self._seen: Dict[int, Tuple[S.Formula, int, Tuple[str, ...]]] = {}
+
+    def forget(self) -> None:
+        """Drop the per-object entries (interned shapes stay)."""
+        self._seen.clear()
+
+    def _intern(self, desc: tuple) -> int:
+        sid = self._ids.get(desc)
+        if sid is None:
+            sid = self._ids[desc] = len(self._ids)
+        return sid
+
+    def key(self, f: S.Formula) -> Tuple[int, Tuple[str, ...]]:
+        hit = self._seen.get(id(f))
+        if hit is not None:
+            return hit[1], hit[2]
+        if isinstance(f, S.Not):
+            sid, free = self.key(f.body)
+            shape = self._intern((S.Not, sid))
+        elif isinstance(f, (S.And, S.Or)):
+            kids = [self.key(p) for p in f.parts]
+            slot: Dict[str, int] = {}
+            for _sid, kfree in kids:
+                for v in kfree:
+                    if v not in slot:
+                        slot[v] = len(slot)
+            free = tuple(slot)
+            shape = self._intern((type(f),) + tuple(
+                (sid, tuple(slot[v] for v in kfree)) for sid, kfree in kids
+            ))
+        elif isinstance(f, _BINDERS):
+            sid, bfree = self.key(f.body)
+            names = f.names
+            free = tuple(v for v in bfree if v not in names)
+            slot = {v: i for i, v in enumerate(free)}
+            refs = tuple(
+                -1 - names.index(v) if v in names else slot[v] for v in bfree
+            )
+            shape = self._intern((type(f), len(names), sid, refs))
+        else:
+            desc, occ = _atom_vars(f)
+            slot = {}
+            for v in occ:
+                if v not in slot:
+                    slot[v] = len(slot)
+            free = tuple(slot)
+            shape = self._intern(desc + tuple(slot[v] for v in occ))
+        self._seen[id(f)] = (f, shape, free)
+        return shape, free
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +254,12 @@ class CompileStats:
     projections: int = 0
     minimizations: int = 0
     max_states: int = 0
+    # Every ``_compile`` call is exactly one of: a memo hit on the same
+    # tracks, a memo hit served by renaming another track family's
+    # automaton, or a build.
+    memo_hits: int = 0
+    renamed: int = 0
+    built: int = 0
 
     def note(self, a: TreeAutomaton) -> TreeAutomaton:
         self.max_states = max(self.max_states, a.n_states)
@@ -140,7 +267,7 @@ class CompileStats:
 
 
 class Compiler:
-    """Stateful formula -> automaton compiler with memoization."""
+    """Stateful formula -> automaton compiler with a shape memo."""
 
     def __init__(
         self,
@@ -157,7 +284,12 @@ class Compiler:
         self.deadline: Optional[float] = None
         self.guard: Optional[ResourceGuard] = None
         self.stats = CompileStats()
-        self._cache: Dict[str, TreeAutomaton] = {}
+        self._shapes = ShapeTable()
+        # (shape, rank order of its free slots) -> {tracks in level
+        # order -> automaton}; the first entry is the one renamed.
+        self._cache: Dict[
+            Tuple[int, Tuple[int, ...]], Dict[Tuple[str, ...], TreeAutomaton]
+        ] = {}
 
     def _guard(self) -> Optional[ResourceGuard]:
         return as_guard(self.guard, self.deadline)
@@ -165,7 +297,10 @@ class Compiler:
     # -- public API ---------------------------------------------------------
     def compile(self, formula: S.Formula, already_fresh: bool = False) -> TreeAutomaton:
         f = formula if already_fresh else freshen(formula)
-        return self._compile(f)
+        try:
+            return self._compile(f)
+        finally:
+            self._shapes.forget()
 
     def compile_product(self, formula: S.Formula, already_fresh: bool = False):
         """Compile keeping a top-level conjunction *symbolic*.
@@ -179,9 +314,12 @@ class Compiler:
         from ..automata.product import ProductAutomaton
 
         f = formula if already_fresh else freshen(formula)
-        if isinstance(f, S.And):
-            return ProductAutomaton([self._compile(p) for p in f.parts])
-        return self._compile(f)
+        try:
+            if isinstance(f, S.And):
+                return ProductAutomaton([self._compile(p) for p in f.parts])
+            return self._compile(f)
+        finally:
+            self._shapes.forget()
 
     # -- guard helpers --------------------------------------------------------
     def _bit(self, name: str, value: bool = True) -> int:
@@ -193,13 +331,25 @@ class Compiler:
 
     # -- main dispatch ------------------------------------------------------------
     def _compile(self, f: S.Formula) -> TreeAutomaton:
-        key = structural_key(f)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        a = self._build(f)
-        a = self.stats.note(a)
-        self._cache[key] = a
+        shape, free = self._shapes.key(f)
+        level = self.registry.level
+        levels = [level(v) for v in free]
+        order = tuple(sorted(range(len(free)), key=levels.__getitem__))
+        tracks = tuple(free[i] for i in order)
+        served = self._cache.get((shape, order))
+        if served is None:
+            a = self.stats.note(self._build(f))
+            self.stats.built += 1
+            self._cache[(shape, order)] = {tracks: a}
+            return a
+        a = served.get(tracks)
+        if a is not None:
+            self.stats.memo_hits += 1
+            return a
+        src_tracks, src = next(iter(served.items()))
+        a = src.renamed(dict(zip(src_tracks, tracks)), guard=self._guard())
+        self.stats.renamed += 1
+        served[tracks] = self.stats.note(a)
         return a
 
     def _build(self, f: S.Formula) -> TreeAutomaton:
@@ -608,8 +758,12 @@ class Compiler:
                 accepting=frozenset({1}),
                 deterministic=True,
             )
-        # General case via an auxiliary first-order witness.
-        z = f"@eq#{abs(hash((f.a, f.b))) % 10_000_000}"
+        # General case via an auxiliary first-order witness; it is
+        # bound right here, so one name (distinct from both terms' roots)
+        # serves every such atom.
+        z = "@eq"
+        while z in (f.a.var, f.b.var):
+            z += "'"
         body = S.And(
             (
                 self._childis_formula(f.a, z),

@@ -58,9 +58,12 @@ __all__ = ["SEMANTICS_VERSION", "Journal", "SharedCache", "payload_digest"]
 
 #: Stamp of the code that decides verdicts.  Bump it whenever a change
 #: can alter a verdict or the content of a result, so no row written
-#: by the old code is ever served.  2: the exact (Myhill–Nerode)
-#: tree-automaton minimizer; version-1 rows carry no stamp at all.
-SEMANTICS_VERSION = 2
+#: by the old code is ever served; ``tests/test_semantics_fingerprint.py``
+#: fails until a change to the verdict-relevant sources bumps it.
+#: 2: the exact (Myhill–Nerode) tree-automaton minimizer; 3: the
+#: compiler's shape memo with rename-served track families; version-1
+#: rows carry no stamp at all.
+SEMANTICS_VERSION = 3
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS records (

@@ -75,8 +75,10 @@ class SolverStats:
         self.pruned_tuples += pruned
         self.superseded_tuples += superseded
 
-    def as_dict(self, manager=None) -> Dict[str, object]:
-        """Flat snapshot; pass the BDD manager to include its counters."""
+    def as_dict(self, manager=None, compiler=None) -> Dict[str, object]:
+        """Flat snapshot; pass the BDD manager and the compiler's
+        :class:`~repro.mso.compile.CompileStats` to include their
+        counters."""
         out: Dict[str, object] = {
             "compile_s": round(self.compile_s, 6),
             "explore_s": round(self.explore_s, 6),
@@ -97,6 +99,10 @@ class SolverStats:
                 "stored": self.cache_stored,
             },
         }
+        if compiler is not None:
+            out["compile_memo_hits"] = compiler.memo_hits
+            out["compile_renamed"] = compiler.renamed
+            out["compile_built"] = compiler.built
         if manager is not None:
             for k, v in manager.cache_stats().items():
                 out[f"bdd_{k}"] = v

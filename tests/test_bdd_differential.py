@@ -5,9 +5,11 @@ observation-equivalent to the pre-refactor tuple-per-node implementation
 preserved verbatim in :mod:`repro.bdd.reference`: identical node handles
 in identical order (hash-consing allocates by first construction, and the
 apply algorithms recurse the same way), identical truth tables, and an
-identical ``cache_stats()`` key shape.  Guard handles feed automata
-structure and ultimately the compiler's ``structural_key`` memo, so
-handle-level agreement is the strongest observable.
+identical ``cache_stats()`` key shape.  Guard handles are automata
+structure, and the compiler's shape memo serves the second
+configuration family by ``rename``-ing the first family's guards, so
+handle-level agreement — renamed handles included — is the strongest
+observable.
 
 Two layers:
 
@@ -149,7 +151,12 @@ def _compile_with(manager_cls, src):
     comp = Compiler(registry)
     parts = enc.config_core_parts(families[0])
     auto = comp.compile(S.And(tuple(parts)) if len(parts) > 1 else parts[0])
-    return registry.manager, comp, auto
+    # Family 2's core, conjunct by conjunct: each conjunct's shape was
+    # compiled for family 1, so the memo serves it through ``rename``.
+    renamed = comp.stats.renamed
+    core2 = [comp.compile(p) for p in enc.config_core_parts(families[1])]
+    assert comp.stats.renamed == renamed + len(core2)
+    return registry.manager, comp, auto, core2
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 5, 11])
@@ -158,14 +165,18 @@ def test_generated_program_pipelines_agree(seed):
     from repro.gen import GenConfig, RandomSource, gen_program_source
 
     src = gen_program_source(RandomSource(seed), GenConfig())
-    mgr_a, comp_a, auto_a = _compile_with(BDDManager, src)
-    mgr_b, comp_b, auto_b = _compile_with(ReferenceBDDManager, src)
+    mgr_a, comp_a, auto_a, core2_a = _compile_with(BDDManager, src)
+    mgr_b, comp_b, auto_b, core2_b = _compile_with(ReferenceBDDManager, src)
 
     assert auto_a.n_states == auto_b.n_states
     assert auto_a.accepting == auto_b.accepting
     assert auto_a.leaf == auto_b.leaf
     assert auto_a.delta == auto_b.delta  # guard handles are ints in both
+    assert len(core2_a) == len(core2_b)
+    for ra, rb in zip(core2_a, core2_b):
+        assert (ra.n_states, ra.tracks) == (rb.n_states, rb.tracks)
+        assert ra.leaf == rb.leaf and ra.delta == rb.delta
     assert mgr_a.size() == mgr_b.size()
     assert set(comp_a._cache) == set(comp_b._cache), (
-        "structural_key memo population diverged"
+        "shape memo population diverged"
     )

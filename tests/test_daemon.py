@@ -435,6 +435,36 @@ def test_daemon_restart_reads_unstamped_rows_as_stale(tmp_path):
     assert st["cache"]["shared"]["quarantined"] == 0
 
 
+def test_daemon_restart_reads_version_2_rows_as_stale(tmp_path):
+    """Rows stamped by semantics version 2 (before the compiler's shape
+    memo) are stale after an upgrade to version 3: recomputed, never
+    served or quarantined."""
+    from repro.service import sharedcache
+
+    assert sharedcache.SEMANTICS_VERSION >= 3
+    run_dir = tmp_path / "run"
+    task = racy_task()
+    with DaemonHandle(run_dir) as h:
+        with h.client() as c:
+            assert c.submit_task(task)["value"]["verdict"] == "race"
+        assert h.stop() == 0
+
+    conn = sqlite3.connect(run_dir / "cache.sqlite")
+    conn.execute("UPDATE records SET semantics = 2")
+    conn.commit()
+    conn.close()
+
+    with DaemonHandle(run_dir) as h2:
+        assert h2.daemon.stats["replayed"] == 0
+        assert h2.daemon.stats["verify_quarantined"] == 0
+        with h2.client() as c:
+            r = c.submit_task(task)
+            assert not r["cached"] and r["value"]["verdict"] == "race"
+            st = c.status()
+    assert st["cache"]["shared"]["stale"] == 2
+    assert st["cache"]["shared"]["quarantined"] == 0
+
+
 def test_daemon_never_serves_a_check_task_row(tmp_path):
     """Check tasks are served only through the soundness-gated query
     record, never from their task row."""

@@ -302,3 +302,67 @@ class TestRefactoredHotPaths:
         with pytest.raises(DeadlineExceeded) as ei:
             reduce(a, guard=guard)
         assert ei.value.phase == phase
+
+    @staticmethod
+    def _trip_inside_rename(monkeypatch, arm):
+        """Wrap ``TreeAutomaton.renamed`` so ``arm(guard)`` runs on entry
+        to each rename (and is undone when it returns) until one raises;
+        returns the raised errors."""
+        from repro.automata.tta import TreeAutomaton
+        from repro.runtime import ResourceExhausted
+
+        real = TreeAutomaton.renamed
+        raised = []
+
+        def armed_renamed(self, names, guard=None):
+            saved = (guard.deadline, guard.node_ceiling)
+            arm(guard)
+            try:
+                out = real(self, names, guard=guard)
+            except ResourceExhausted as e:
+                raised.append(e)
+                raise
+            guard.deadline, guard.node_ceiling = saved
+            return out
+
+        monkeypatch.setattr(TreeAutomaton, "renamed", armed_renamed)
+        return raised
+
+    def test_expired_guard_on_renamed_compile_reports_deadline(
+        self, sizecount_par, monkeypatch
+    ):
+        """A compile served by the rename path checks the guard once per
+        automaton: expiry there is status ``deadline``, never a verdict."""
+        import time
+
+        from repro.core.symbolic import check_data_race_mso
+        from repro.runtime import DeadlineExceeded, ResourceGuard
+
+        def expire(guard):
+            guard.deadline = time.perf_counter() - 1.0
+
+        raised = self._trip_inside_rename(monkeypatch, expire)
+        v = check_data_race_mso(sizecount_par, guard=ResourceGuard())
+        assert [type(e) for e in raised] == [DeadlineExceeded]
+        assert raised[0].phase == "automata.rename"
+        assert v.status == "deadline"
+        assert not v.found and v.witness is None and not v.holds
+
+    def test_node_ceiling_inside_rename_reports_memory(
+        self, sizecount_par, monkeypatch
+    ):
+        """``rename`` allocates through ``_mk``, so the BDD-node ceiling
+        trips inside it: status ``memory``, never a verdict."""
+        from repro.core.symbolic import check_data_race_mso
+        from repro.runtime import MemoryCeilingExceeded, ResourceGuard
+
+        def cap_at_current_size(guard):
+            (manager,) = guard._managers
+            guard.node_ceiling = manager.size()
+
+        raised = self._trip_inside_rename(monkeypatch, cap_at_current_size)
+        v = check_data_race_mso(sizecount_par, guard=ResourceGuard())
+        assert [type(e) for e in raised] == [MemoryCeilingExceeded]
+        assert raised[0].phase == "bdd"  # tripped by _mk, not check_now
+        assert v.status == "memory"
+        assert not v.found and v.witness is None and not v.holds

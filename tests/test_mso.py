@@ -117,26 +117,50 @@ class TestOpenAtoms:
 
 
 class TestFreshen:
-    def test_bound_names_unique(self):
+    @staticmethod
+    def _binders(h, out):
+        if isinstance(h, (S.Exists1, S.Forall1, S.Exists2, S.Forall2)):
+            out.extend(h.names)
+            TestFreshen._binders(h.body, out)
+        elif isinstance(h, (S.And, S.Or)):
+            for p in h.parts:
+                TestFreshen._binders(p, out)
+        elif isinstance(h, S.Not):
+            TestFreshen._binders(h.body, out)
+        return out
+
+    def test_nested_binders_distinct_no_capture(self):
+        """Binders along one scope chain get distinct names, and a fresh
+        name never captures a free variable — not even one spelled like
+        a fresh name."""
+        inner = S.Exists1((x,), S.And((S.In(S.NodeTerm(x), X),
+                                      S.In(S.NodeTerm("x#2"), X))))
+        f = S.And((
+            S.Exists1((x,), S.And((S.RootT(S.NodeTerm(x)), inner))),
+            S.In(S.NodeTerm("x#1"), X),
+        ))
+        g = freshen(f)
+        names = self._binders(g, [])
+        assert len(names) == len(set(names)) == 2
+        assert not set(names) & {"x#1", "x#2"}
+        assert S.free_vars(g) == S.free_vars(f) == {X, "x#1", "x#2"}
+        # The inner binder's body refers to the inner variable only.
+        outer = g.parts[0]
+        assert outer.body.parts[0] == S.RootT(S.NodeTerm(outer.names[0]))
+        in_inner = outer.body.parts[1]
+        assert in_inner.body.parts[0] == S.In(
+            S.NodeTerm(in_inner.names[0]), X
+        )
+
+    def test_sibling_scopes_share_names(self):
         f = S.And(
             (
                 S.Exists1((x,), S.RootT(S.NodeTerm(x))),
                 S.Exists1((x,), S.IsNilT(S.NodeTerm(x))),
             )
         )
-        g = freshen(f)
-        names = []
-
-        def collect(h):
-            if isinstance(h, S.Exists1):
-                names.extend(h.names)
-                collect(h.body)
-            elif isinstance(h, S.And):
-                for p in h.parts:
-                    collect(p)
-
-        collect(g)
-        assert len(names) == len(set(names)) == 2
+        names = self._binders(freshen(f), [])
+        assert names == ["x#1", "x#1"]
 
     def test_free_vars_preserved(self):
         f = S.Exists1((x,), S.In(S.NodeTerm(x), X))

@@ -544,6 +544,27 @@ def test_batch_resume_ignores_rows_of_other_code(tmp_path, monkeypatch):
     assert run_batch(m, run, resume=True).resumed == 2
 
 
+def test_batch_resume_reads_version_2_rows_as_stale(tmp_path):
+    """Rows written by semantics version 2 (before the compiler's shape
+    memo) are stale under version 3: never served, all recomputed."""
+    from repro.service import sharedcache
+
+    assert sharedcache.SEMANTICS_VERSION >= 3
+    m = write_manifest(tmp_path / "m.json")
+    run = tmp_path / "run"
+    run_batch(m, run)
+    golden = (run / "results.json").read_bytes()
+    conn = sqlite3.connect(run / "cache.sqlite")
+    conn.execute("UPDATE records SET semantics = 2")
+    conn.commit()
+    conn.close()
+    report = run_batch(m, run, resume=True)
+    assert report.resumed == 0 and report.cache_hits == 0 and report.ran == 2
+    assert report.quarantined == 0 and report.stale == 4
+    assert (run / "results.json").read_bytes() == golden
+    assert run_batch(m, run, resume=True).resumed == 2
+
+
 def test_batch_run_dir_layout(tmp_path):
     m = write_manifest(tmp_path / "m.json")
     run = tmp_path / "run"

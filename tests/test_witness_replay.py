@@ -57,9 +57,11 @@ def test_sizecount_parallel_race_free(sizecount_par):
 def test_undecided_never_carries_witness(cycletree_par):
     """Starve the symbolic engine (mso only, tiny limits): the verdict
     must be ``unknown`` with no witness, and the attempt record must
-    keep the rung's raw (absent) verdict."""
+    keep the rung's raw (absent) verdict.  The node ceiling starves it
+    on any host: T1.7 now decides within the 2 s deadline alone."""
     res = check_data_race(
-        cycletree_par, engine="mso", det_budget=1, mso_deadline_s=2.0
+        cycletree_par, engine="mso", det_budget=1, mso_deadline_s=2.0,
+        node_ceiling=2000,
     )
     assert res.verdict == "unknown"
     assert res.witness is None
@@ -72,10 +74,11 @@ def test_undecided_never_carries_witness(cycletree_par):
 
 def test_attempts_record_raw_found_when_later_rung_decides(cycletree_par):
     """Degradation ladder: the starved mso rung records ``found=None``
-    while the bounded rung that decided records its raw True."""
+    while the bounded rung that decided records its raw True (starved
+    by the node ceiling, as above)."""
     res = check_data_race(
         cycletree_par, engine="auto", det_budget=1, mso_deadline_s=2.0,
-        max_internal=2,
+        node_ceiling=2000, max_internal=2,
     )
     attempts = res.details["attempts"]
     by_rung = {a["rung"]: a for a in attempts}
